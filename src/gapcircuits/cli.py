@@ -202,6 +202,7 @@ def _mutation_control_row(branch_cap: int) -> dict:
     built = build_circuit(instance, MODE_QRAM)
     assert isinstance(built.circuit.gates[-1], Z)
     built.circuit.gates.pop()
+    built.circuit.steps.pop()
     result = verify_built(instance, built, branch_cap=branch_cap)
     return {"problem": PROBLEM_OV, "params": {"n": 2, "d": 1}, "trial": "control",
             "seed": None, "modes": {MODE_QRAM: {

@@ -16,7 +16,7 @@ class CircuitError(ValueError):
     """Malformed circuit, register layout, or gate operands."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitString:
     """Immutable little-endian bit tuple; bits[0] is the least significant."""
 
@@ -85,35 +85,35 @@ class Register:
 # of basis states: Z flips the sign when its qubit is 1, the rest move bits.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class H:
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class X:
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Z:
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CX:
     control: int
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Toffoli:
     control1: int
     control2: int
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MCBitmask:
     """If all controls are 1, flip targets[j] for every j with mask[j] == 1.
 
@@ -127,7 +127,7 @@ class MCBitmask:
     ancilla: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QramLoad:
     """XOR the table value at the current address into the data qubits.
 

@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from gapcircuits import cli
 from gapcircuits.cli import main
 from gapcircuits.textio import built_from_text
+from gapcircuits.verification import verify_built
 
 
 def _strip_volatile(text):
@@ -150,10 +152,20 @@ def test_sweep_jobs_equivalence(tmp_path):
     assert p1 == p2
 
 
-def test_sweep_mutation_control(capsys):
+def test_sweep_mutation_control(capsys, monkeypatch):
+    controls = []
+
+    def capture(instance, built, **kwargs):
+        controls.append(built.circuit)
+        return verify_built(instance, built, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_built", capture)
     assert main(["sweep", "--problem", "ov", "--trials", "1", "--mutation-control"]) == 1
     text = capsys.readouterr().out
     assert "control: mutation detected" in text
+    # the dropped phase gate takes its step tag with it
+    [circuit] = controls
+    assert len(circuit.gates) == len(circuit.steps)
 
 
 def test_console_script_entry():
