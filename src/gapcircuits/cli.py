@@ -54,7 +54,7 @@ from .simulator import (
 )
 from .textio import built_from_text, built_to_text
 from .verification import (
-    DENSE_TOLERANCE,
+    dense_agrees,
     render_report,
     verify_built,
     verify_instance,
@@ -116,7 +116,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     report: dict = {"problem": built.problem, "mode": built.mode,
                     "qubits": built.circuit.n_qubits, "exponent": built.denom_exponent}
-    pathsum_value: float | None = None
+    outcome = None
     dense_value: float | None = None
 
     if args.backend in ("pathsum", "both"):
@@ -141,8 +141,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         report["dense"] = {"p_acc": dense_value}
 
     status = 0
-    if pathsum_value is not None and dense_value is not None:
-        agree = abs(pathsum_value - dense_value) <= DENSE_TOLERANCE
+    if outcome is not None and dense_value is not None:
+        agree = dense_agrees(dense_value, outcome)
         lines.append(f"agree: {'pass' if agree else 'FAIL'}")
         report["agree"] = agree
         status = 0 if agree else 1

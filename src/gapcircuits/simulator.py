@@ -16,14 +16,15 @@ column into the sign column, and a table lookup gathers from the table by
 the unpacked address bits.  The accepted count and signed sum are popcounts
 of the accepted-branch column, so they stay exact.
 
-Dense backend: a literal statevector simulation that applies explicit
+Dense backend: a literal statevector simulation on a real float64 array,
+one axis per qubit, that reads the IR gates directly, applies explicit
 Hadamards to the X-measured qubits at the end and reads the all-zero
-amplitudes.  It shares no acceptance math with the path-sum backend, which
-is what makes the agreement check meaningful.
+amplitudes.  It shares no lowering and no acceptance math with the
+path-sum backend, which is what makes the agreement check meaningful.
 
-Lowered ops place bitmasks and table values as int64 masks over qubit
-indices, and `apply_gates` takes int64 basis words, so circuits are capped
-at 62 qubits; the dense backend has its own, much smaller, qubit cap.
+Path-sum ops place bitmasks and table values as int64 masks over qubit
+indices, and `apply_gates` takes int64 basis words, so the path-sum backend
+is capped at 62 qubits; the dense backend has a much smaller qubit cap.
 """
 
 from __future__ import annotations
@@ -71,16 +72,16 @@ def _placed_mask(mask_bits, targets: tuple[int, ...]) -> int:
 
 
 def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
-    """Lower gates[start:] to the ops shared by both backends."""
+    """Lower gates[start:] to the path-sum ops."""
     if circuit.n_qubits > _WORD_QUBIT_CAP:
         raise CapExceededError(
             f"{circuit.n_qubits} qubits exceed the {_WORD_QUBIT_CAP}-qubit word cap")
     ops: list[tuple] = []
     for gate in circuit.gates[start:]:
         if isinstance(gate, H):
-            ops.append(("h", gate.target))
+            raise SimulationError("H is not a basis-state permutation")
         elif isinstance(gate, X):
-            ops.append(("flip", 1 << gate.target))
+            ops.append(("x", gate.target))
         elif isinstance(gate, Z):
             ops.append(("z", gate.target))
         elif isinstance(gate, CX):
@@ -99,13 +100,6 @@ def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
         else:
             raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
     return ops
-
-
-def _gather_bits(words: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    value = (words >> qubits[0]) & 1
-    for t, q in enumerate(qubits[1:], start=1):
-        value = value | (((words >> q) & 1) << t)
-    return value
 
 
 def _qubits(placed: int) -> list[int]:
@@ -140,10 +134,7 @@ def _slice_ops(ops: list[tuple]) -> list[tuple]:
     sliced: list[tuple] = []
     for op in ops:
         kind = op[0]
-        if kind == "flip":
-            for q in _qubits(op[1]):
-                sliced.append(("x", q))
-        elif kind == "mcb":
+        if kind == "mcb":
             sliced.append(("mcb", op[1], _qubits(op[2])))
         elif kind == "qram":
             _, address, lut = op
@@ -151,10 +142,8 @@ def _slice_ops(ops: list[tuple]) -> list[tuple]:
             if data:
                 shifts = np.array(data, dtype=np.int64)[:, None]
                 sliced.append(("qram", address, data, ((lut >> shifts) & 1).astype(np.uint8)))
-        elif kind in ("cx", "ccx", "z"):
-            sliced.append(op)
         else:
-            raise SimulationError(f"op {kind!r} is not a basis-state permutation")
+            sliced.append(op)
     return sliced
 
 
@@ -302,71 +291,81 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
     return SimOutcome(signed_sum, exponent, n_branches, n_accepted, p_acc)
 
 
-def _dense_h(state: np.ndarray, idx: np.ndarray, q: int) -> np.ndarray:
-    m = 1 << q
-    lo = idx & ~m
-    hi = idx | m
-    phase = np.where((idx & m) != 0, -1.0, 1.0)
-    return (state[lo] + phase * state[hi]) * _SQRT_HALF
+def _pinned(psi: np.ndarray, pins, frame: int = 0) -> np.ndarray:
+    """View with qubit q at bit b ^ (bit q of frame) for each (q, b); q keeps axis -1-q."""
+    key = [slice(None)] * psi.ndim
+    for q, b in pins:
+        b ^= (frame >> q) & 1
+        key[-1 - q] = slice(b, b + 1)
+    return psi[tuple(key)]
+
+
+def _flip(view: np.ndarray, targets) -> None:
+    """X on every qubit in `targets`, in place on `view`."""
+    axes = tuple(-1 - q for q in targets)
+    if axes:
+        view[...] = np.flip(view, axis=axes)
 
 
 def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Full statevector after the circuit body, index bit q holding qubit q."""
+    """Full statevector after the circuit body, index bit q holding qubit q.
+
+    Real float64 of shape (2,)*n, qubit q on axis n-1-q, returned flat.  Each
+    gate acts in place on the view that pins its controls to 1.  An
+    uncontrolled X moves no data: it toggles bit q of `frame`, which marks
+    the axes held flipped until the end.
+    """
     n = circuit.n_qubits
     if n > cap:
         raise CapExceededError(f"{n} qubits exceed the dense cap of {cap}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[0] = 1.0
-    for op in _compile_ops(circuit):
-        kind = op[0]
-        if kind == "h":
-            state = _dense_h(state, idx, op[1])
-        elif kind == "flip":
-            state = state[idx ^ op[1]]
-        elif kind == "cx":
-            _, c, t = op
-            state = state[idx ^ (((idx >> c) & 1) << t)]
-        elif kind == "ccx":
-            _, c1, c2, t = op
-            state = state[idx ^ (((idx >> c1) & (idx >> c2) & 1) << t)]
-        elif kind == "mcb":
-            _, controls, placed = op
-            fire = idx >> controls[0]
-            for c in controls[1:]:
-                fire = fire & (idx >> c)
-            state = state[idx ^ ((fire & 1) * placed)]
-        elif kind == "z":
-            state = state * (1 - 2 * ((idx >> op[1]) & 1))
-        elif kind == "qram":
-            _, address, lut = op
-            state = state[idx ^ lut[_gather_bits(idx, address)]]
-    return state
+    psi = np.zeros((2,) * n)
+    psi[(0,) * n] = 1.0
+    frame = 0
+    for gate in circuit.gates:
+        if isinstance(gate, H):
+            a, b = (_pinned(psi, ((gate.target, bit),), frame) for bit in (0, 1))
+            a[...], b[...] = (a + b) * _SQRT_HALF, (a - b) * _SQRT_HALF
+        elif isinstance(gate, X):
+            frame ^= 1 << gate.target
+        elif isinstance(gate, Z):
+            _pinned(psi, ((gate.target, 1),), frame)[...] *= -1
+        elif isinstance(gate, CX):
+            _flip(_pinned(psi, ((gate.control, 1),), frame), (gate.target,))
+        elif isinstance(gate, Toffoli):
+            _flip(_pinned(psi, ((gate.control1, 1), (gate.control2, 1)), frame), (gate.target,))
+        elif isinstance(gate, MCBitmask):
+            _flip(_pinned(psi, ((c, 1) for c in gate.controls), frame),
+                  (t for bit, t in zip(gate.mask, gate.targets) if bit))
+        elif isinstance(gate, QramLoad):
+            # Addresses missing from the table load 0: nothing to flip.
+            for address, value in circuit.tables[gate.table_id].entries:
+                pins = ((q, (address >> j) & 1) for j, q in enumerate(gate.address))
+                flips = (q for j, q in enumerate(gate.data) if (value >> j) & 1)
+                _flip(_pinned(psi, pins, frame), flips)
+        else:
+            raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
+    _flip(psi, (q for q in range(n) if (frame >> q) & 1))
+    return psi.reshape(-1)
 
 
 def dense_acceptance(circuit: Circuit, state: np.ndarray) -> float:
     """Probability of the all-zero outcome on the measured qubits.
 
-    Applies literal Hadamards to every X-measured qubit, then sums the
-    squared magnitude over all assignments of the unmeasured qubits with
-    every measured qubit at 0.
+    Applies literal Hadamards to every X-measured qubit, computing only the
+    |0> half that is read, into a new array, and sums the squared amplitudes
+    with every measured qubit at 0.
     """
     plan = circuit.measurement
     if plan is None:
         raise SimulationError("circuit has no measurement plan")
     if len(plan.unmeasured) > 20:
         raise CapExceededError("too many unmeasured qubits to marginalize")
-    idx = np.arange(len(state), dtype=np.int64)
-    state = state.copy()
+    if state.size != 1 << circuit.n_qubits:
+        raise SimulationError(f"{state.size} amplitudes are not a {circuit.n_qubits}-qubit state")
+    kept = _pinned(state.reshape((2,) * circuit.n_qubits), ((q, 0) for q in plan.z_qubits))
     for q in plan.x_qubits:
-        state = _dense_h(state, idx, q)
-    total = 0.0
-    for assignment in range(1 << len(plan.unmeasured)):
-        pointer = 0
-        for t, q in enumerate(plan.unmeasured):
-            pointer |= ((assignment >> t) & 1) << q
-        total += abs(state[pointer]) ** 2
-    return float(total)
+        kept = (_pinned(kept, ((q, 0),)) + _pinned(kept, ((q, 1),))) * _SQRT_HALF
+    return float(np.vdot(kept, kept).real)
 
 
 def acceptance_probability(circuit: Circuit, backend: str = "pathsum", *,

@@ -13,6 +13,7 @@ an independent floating-point cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,10 @@ from .simulator import (
 )
 
 DENSE_TOLERANCE = 1e-9
+# p_acc can be far below DENSE_TOLERANCE (nwt reaches 8e-11), where the
+# absolute bound accepts almost anything; at the scale of the exact
+# numerator, p * 2^k against signed_sum^2, the bound keeps its meaning.
+DENSE_SCALED_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,17 @@ def oracle_counts(instance: Instance) -> OracleCounts:
     if isinstance(instance, NwtInstance):
         return oracle_nwt(instance)
     raise InstanceError(f"unknown instance type {type(instance).__name__}")
+
+
+def dense_agrees(dense_value: float, outcome: SimOutcome) -> bool:
+    """Whether a dense p_acc matches the exact path-sum outcome.
+
+    It must pass |dense - p_acc| <= DENSE_TOLERANCE and
+    |dense * 2^exponent - signed_sum^2| <= DENSE_SCALED_TOLERANCE.
+    """
+    scaled = math.ldexp(dense_value, outcome.exponent) - outcome.signed_sum ** 2
+    return (abs(dense_value - float(outcome.p_acc)) <= DENSE_TOLERANCE
+            and abs(scaled) <= DENSE_SCALED_TOLERANCE)
 
 
 def predicted_pacc(problem: str, r: int, d: int, gap: int) -> Fraction:
@@ -307,7 +323,7 @@ def verify_built(instance: Instance, built: BuiltCircuit, *, with_dense: bool = 
     dense_ok: bool | None = None
     if with_dense:
         dense_value = dense_acceptance(built.circuit, simulate_dense(built.circuit, cap=dense_cap))
-        dense_ok = abs(dense_value - float(outcome.p_acc)) <= DENSE_TOLERANCE
+        dense_ok = dense_agrees(dense_value, outcome)
     return VerifyResult(
         problem=built.problem,
         mode=built.mode,

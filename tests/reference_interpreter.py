@@ -1,0 +1,85 @@
+"""Random circuits and a per-branch reference interpreter for kernel tests.
+
+`random_circuit` draws circuits over the whole permutation vocabulary;
+its draws can include zero-mask bitmask flips and tables with missing
+addresses.
+`reference_word` runs one basis word through the gates after the
+Hadamard layer, reading the IR gate fields directly, so it shares no
+lowering with either simulation backend.
+"""
+
+from hypothesis import strategies as st
+
+from gapcircuits.dataload import DataTable
+from gapcircuits.ir import CX, BitString, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit
+
+KINDS = ("X", "Z", "CX", "Toffoli", "MCBitmask", "QramLoad")
+
+
+def _draw_gate(data, circuit, kind, index):
+    """One gate of `kind` on distinct qubits drawn from the circuit."""
+    n = circuit.n_qubits
+    if kind in ("X", "Z"):
+        return (X if kind == "X" else Z)(data.draw(st.integers(0, n - 1)))
+    if kind == "CX":
+        c, t = data.draw(st.permutations(range(n)))[:2]
+        return CX(c, t)
+    if kind == "Toffoli":
+        c1, c2, t = data.draw(st.permutations(range(n)))[:3]
+        return Toffoli(c1, c2, t)
+    order = data.draw(st.permutations(range(n)))
+    if kind == "MCBitmask":
+        n_controls = data.draw(st.integers(1, n - 2))
+        n_targets = data.draw(st.integers(1, n - 1 - n_controls))
+        controls, targets = order[:n_controls], order[n_controls:n_controls + n_targets]
+        mask = data.draw(st.lists(st.integers(0, 1), min_size=n_targets, max_size=n_targets))
+        return MCBitmask(tuple(controls), BitString(tuple(mask)), tuple(targets), order[-1])
+    width = data.draw(st.integers(1, min(3, n - 1)))
+    data_width = data.draw(st.integers(1, min(3, n - width)))
+    addresses = data.draw(st.sets(st.integers(0, (1 << width) - 1)))
+    entries = tuple((a, data.draw(st.integers(0, (1 << data_width) - 1)))
+                    for a in sorted(addresses))
+    table = DataTable(f"t{index}", width, data_width, entries)
+    circuit.add_table(table)
+    return QramLoad(tuple(order[:width]), tuple(order[width:width + data_width]), table.table_id)
+
+
+def random_circuit(data, n_qubits, h):
+    """H on h distinct qubits, up to 24 random permutation gates, a random plan."""
+    circuit = new_circuit([("q", n_qubits)])
+    circuit.begin_step("body")
+    for q in data.draw(st.permutations(range(n_qubits)))[:h]:
+        circuit.add(H(q))
+    kinds = data.draw(st.lists(st.sampled_from(KINDS), max_size=24))
+    for index, kind in enumerate(kinds):
+        circuit.add(_draw_gate(data, circuit, kind, index))
+    order = data.draw(st.permutations(range(n_qubits)))
+    n_z = data.draw(st.integers(0, n_qubits))
+    n_x = data.draw(st.integers(0, n_qubits - n_z))
+    circuit.set_measurement(tuple(order[:n_z]), tuple(order[n_z:n_z + n_x]),
+                            tuple(order[n_z + n_x:]))
+    return circuit
+
+
+def reference_word(circuit, word):
+    """Interpret gates after the Hadamard layer on one basis word: (word, sign)."""
+    sign = 1
+    for gate in circuit.gates[circuit.h_layer_size:]:
+        if isinstance(gate, X):
+            word ^= 1 << gate.target
+        elif isinstance(gate, Z):
+            sign = -sign if (word >> gate.target) & 1 else sign
+        elif isinstance(gate, CX):
+            word ^= ((word >> gate.control) & 1) << gate.target
+        elif isinstance(gate, Toffoli):
+            word ^= ((word >> gate.control1) & (word >> gate.control2) & 1) << gate.target
+        elif isinstance(gate, MCBitmask):
+            if all((word >> c) & 1 for c in gate.controls):
+                for bit, t in zip(gate.mask, gate.targets):
+                    word ^= bit << t
+        else:
+            address = sum(((word >> q) & 1) << j for j, q in enumerate(gate.address))
+            value = circuit.tables[gate.table_id].lookup(address)
+            for j, q in enumerate(gate.data):
+                word ^= ((value >> j) & 1) << q
+    return word, sign

@@ -10,7 +10,8 @@ Criterion map:
       distinct values than exist are impossible and noted, not tested)
    3  nwt identity, n in {2..6}, bound in {1,2,3}
    4  p_acc = 0 exactly iff the oracle gap is 0
-   5  dense vs path-sum within 1e-9 on 100+ instances of at most 22 qubits
+   5  dense vs path-sum within 1e-9 on 100+ instances of at most 22 qubits,
+      and within 1e-6 once both are scaled by 2^k
    6  qubit-count formulas hold exactly
    7  per-step gate counts within the closed-form bounds; standalone
       arithmetic tallies exact
@@ -19,6 +20,7 @@ Criterion map:
   10  a circuit with one deleted gate is caught by the identity check
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -159,22 +161,27 @@ def _agreement_cells():
 
 def test_criterion_05_backend_agreement():
     instances = circuits = 0
-    worst = 0.0
+    worst = worst_scaled = 0.0
     for gen, params, trials, modes in _agreement_cells():
         for trial in range(trials):
             inst = gen(*params, seed=stable_seed("agreement", gen.__name__, *params, trial))
             instances += 1
             for mode in modes:
                 built = build_circuit(inst, mode)
-                exact = float(simulate_pathsum(built.circuit).p_acc)
+                outcome = simulate_pathsum(built.circuit)
                 dense = dense_acceptance(built.circuit, simulate_dense(built.circuit))
-                gap_err = abs(dense - exact)
+                gap_err = abs(dense - float(outcome.p_acc))
+                # p_acc * 2^k is the exact integer signed_sum^2
+                scaled_err = abs(math.ldexp(dense, outcome.exponent) - outcome.signed_sum ** 2)
                 worst = max(worst, gap_err)
+                worst_scaled = max(worst_scaled, scaled_err)
                 assert gap_err <= 1e-9, (params, mode, gap_err)
+                assert scaled_err <= 1e-6, (params, mode, outcome.exponent, scaled_err)
                 circuits += 1
     assert instances >= 100
     print(f"criterion 5 (backend agreement): pass -- {instances} instances "
-          f"({circuits} circuits) within 22 qubits, worst |dense-pathsum| = {worst:.2e}")
+          f"({circuits} circuits) within 22 qubits, worst |dense-pathsum| = {worst:.2e}, "
+          f"worst |dense*2^k - signed_sum^2| = {worst_scaled:.2e}")
 
 
 def _formula_grid():

@@ -1,0 +1,115 @@
+"""Differential test of the dense statevector kernel.
+
+Random circuits of at most 8 qubits run through `simulate_dense` and
+through the per-branch interpreter of `reference_interpreter`: the
+amplitude at each basis word must be the sum of sign * 2^(-h/2) over the
+Hadamard branches that land on it.  `dense_acceptance` must match the
+acceptance probability marginalized from those amplitudes, and, when no
+qubit is left unmeasured, the exact path-sum probability.  The path-sum
+formula adds every accepted branch into one amplitude, so it holds only
+when the unmeasured qubits end in one fixed state, as the builders'
+ancillas do.  The dense backend must not depend on the lowering that the
+path-sum backend uses.
+"""
+
+from collections import defaultdict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gapcircuits import simulator
+from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, build_circuit
+from gapcircuits.dataload import DataTable
+from gapcircuits.instancefile import generate_ov, generate_threesum
+from gapcircuits.ir import CX, BitString, H, MCBitmask, QramLoad, X, Z, new_circuit
+from gapcircuits.simulator import dense_acceptance, simulate_dense, simulate_pathsum
+from reference_interpreter import random_circuit, reference_word
+
+TOLERANCE = 1e-12
+
+
+def _reference_amplitudes(circuit):
+    """Per basis word, sign * 2^(-h/2) summed over the branches that land on it."""
+    h_targets = [g.target for g in circuit.gates[:circuit.h_layer_size]]
+    amplitudes = np.zeros(1 << circuit.n_qubits)
+    for branch in range(1 << len(h_targets)):
+        word = sum(((branch >> t) & 1) << q for t, q in enumerate(h_targets))
+        word, sign = reference_word(circuit, word)
+        amplitudes[word] += sign * 2.0 ** (-len(h_targets) / 2)
+    return amplitudes
+
+
+def _reference_acceptance(circuit, amplitudes):
+    """Sum over unmeasured assignments of the squared amplitude onto |0>^z |+>^x."""
+    plan = circuit.measurement
+    projected = defaultdict(float)
+    for word, amplitude in enumerate(amplitudes):
+        if not any((word >> q) & 1 for q in plan.z_qubits):
+            projected[tuple((word >> q) & 1 for q in plan.unmeasured)] += amplitude
+    return sum(a * a for a in projected.values()) / 2 ** len(plan.x_qubits)
+
+
+def _check_against_reference(circuit):
+    state = simulate_dense(circuit)
+    assert state.dtype == np.float64 and state.shape == (1 << circuit.n_qubits,)
+    amplitudes = _reference_amplitudes(circuit)
+    np.testing.assert_allclose(state, amplitudes, rtol=0, atol=TOLERANCE)
+    before = state.copy()
+    p_acc = dense_acceptance(circuit, state)
+    assert np.array_equal(state, before)  # the caller's state is left as it was
+    assert abs(p_acc - _reference_acceptance(circuit, amplitudes)) <= TOLERANCE
+    if not circuit.measurement.unmeasured:
+        assert abs(p_acc - float(simulate_pathsum(circuit).p_acc)) <= TOLERANCE
+
+
+@pytest.mark.parametrize("h", [0, 1, 3, 5])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dense_matches_reference_interpreter(h, data):
+    circuit = random_circuit(data, data.draw(st.integers(max(h, 4), 8)), h)
+    _check_against_reference(circuit)
+    plan = circuit.measurement
+    circuit.set_measurement(plan.z_qubits, plan.x_qubits + plan.unmeasured)
+    _check_against_reference(circuit)
+
+
+def test_dense_zero_mask_and_missing_addresses():
+    circuit = new_circuit([("q", 6)])
+    circuit.begin_step("body")
+    for q in (0, 1, 2):
+        circuit.add(H(q))
+    circuit.add(X(2))
+    circuit.add(MCBitmask((0,), BitString((0, 0)), (3, 4), 5))  # zero mask: identity
+    table = circuit.add_table(DataTable("t", 2, 2, ((1, 3), (2, 0))))  # 0 and 3 missing
+    circuit.add(QramLoad((0, 2), (3, 4), table))
+    circuit.add(CX(3, 5))
+    circuit.add(Z(5))
+    circuit.set_measurement((4,), (0, 1, 2, 3, 5))
+    _check_against_reference(circuit)
+
+
+def test_dense_hadamard_reads_flipped_qubit():
+    # X then H gives (|0> - |1>)/sqrt(2); add() refuses this order, so append directly.
+    circuit = new_circuit([("q", 2)])
+    circuit.gates += [X(1), H(1)]
+    state = simulate_dense(circuit)
+    np.testing.assert_allclose(state, [np.sqrt(0.5), 0, -np.sqrt(0.5), 0], rtol=0, atol=TOLERANCE)
+
+
+@pytest.mark.parametrize("instance, mode", [
+    (generate_ov(4, 2, seed=11), MODE_QRAM),
+    (generate_threesum(2, 1, seed=11), MODE_EXPLICIT),
+], ids=["ov-qram", "3sum-explicit"])
+def test_dense_does_not_use_pathsum_lowering(monkeypatch, instance, mode):
+    circuit = build_circuit(instance, mode).circuit
+    outcome = simulate_pathsum(circuit)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense backend called _compile_ops")
+
+    monkeypatch.setattr(simulator, "_compile_ops", refuse)
+    p_acc = dense_acceptance(circuit, simulate_dense(circuit))
+    assert abs(p_acc - float(outcome.p_acc)) <= TOLERANCE
+    assert abs(p_acc * 2 ** outcome.exponent - outcome.signed_sum ** 2) <= 1e-6

@@ -100,6 +100,14 @@ def test_dense_acceptance_marginal_cap():
         dense_acceptance(circ, np.zeros(1, dtype=np.complex128))
 
 
+def test_dense_acceptance_rejects_mis_sized_state():
+    circ = _bell_like()
+    for size in (2, 8):
+        with pytest.raises(SimulationError) as raised:
+            dense_acceptance(circ, np.zeros(size))
+        assert not isinstance(raised.value, CapExceededError)
+
+
 def test_missing_measurement_plan():
     circ = new_circuit([("q", 1)])
     circ.begin_step("1")

@@ -15,8 +15,9 @@ from gapcircuits.builders import (
 )
 from gapcircuits.instancefile import generate_nwt, generate_ov, generate_threesum
 from gapcircuits.ir import BitString, MCBitmask, Z, new_circuit
-from gapcircuits.simulator import simulate_pathsum
+from gapcircuits.simulator import SimOutcome, simulate_pathsum
 from gapcircuits.verification import (
+    dense_agrees,
     gate_accountant,
     oracle_counts,
     oracle_nwt,
@@ -158,3 +159,16 @@ def test_report_serializes():
     payload = json.loads(json.dumps(result.to_dict()))
     assert payload["ok"] is True
     assert payload["simulated"]["p_acc"] == "1/128"
+
+
+def test_dense_agreement_is_scale_aware():
+    # p_acc = 1/2^40 ~ 9.1e-13: an absolute 1e-9 bound alone accepts 0 or half of it
+    outcome = SimOutcome(signed_sum=1, exponent=40, n_branches=2, n_accepted=1,
+                         p_acc=Fraction(1, 1 << 40))
+    assert dense_agrees(2.0 ** -40, outcome)
+    assert dense_agrees(2.0 ** -40 * (1 + 1e-9), outcome)
+    assert not dense_agrees(2.0 ** -41, outcome)
+    assert not dense_agrees(0.0, outcome)
+    # the absolute bound still applies when p_acc is large
+    big = SimOutcome(signed_sum=1, exponent=0, n_branches=1, n_accepted=1, p_acc=Fraction(1))
+    assert not dense_agrees(1.0 + 1e-8, big)
