@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ir import BitString, Circuit, CircuitError, QramLoad, X, emit_mcbitmask
+from .ir import BitString, Circuit, CircuitError, MCBitmask, QramLoad, X
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,8 @@ def emit_loader_unitary(circuit: Circuit, table: DataTable, address_qubits, data
         frame = [address_qubits[t] for t in range(table.address_width) if not (address >> t) & 1]
         for q in frame:
             circuit.add(X(q))
-        emit_mcbitmask(
-            circuit,
-            controls=address_qubits,
-            mask=BitString.from_int(value, table.data_width),
-            targets=data_qubits,
-            ancilla=ancilla,
-        )
+        mask = BitString.from_int(value, table.data_width)
+        circuit.add(MCBitmask(address_qubits, mask, data_qubits, ancilla))
         for q in frame:
             circuit.add(X(q))
 
@@ -129,6 +124,6 @@ def emit_equality_flag(circuit: Circuit, qubits, pattern: BitString, flag: int,
     frame = [qubits[t] for t in range(pattern.width) if pattern[t] == 0]
     for q in frame:
         circuit.add(X(q))
-    emit_mcbitmask(circuit, controls=qubits, mask=BitString((1,)), targets=(flag,), ancilla=ancilla)
+    circuit.add(MCBitmask(qubits, BitString((1,)), (flag,), ancilla))
     for q in frame:
         circuit.add(X(q))

@@ -10,6 +10,7 @@ bit 0 is the least significant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 class CircuitError(ValueError):
@@ -80,41 +81,118 @@ class Register:
 
 # --- gate vocabulary ---------------------------------------------------------
 #
-# H is the only non-classical gate and may only appear in the leading layer.
-# X, Z, CX, Toffoli, MCBitmask, and QramLoad all act as signed permutations
-# of basis states: Z flips the sign when its qubit is 1, the rest move bits.
+# The gate classes below are the one table of the gate vocabulary, read by
+# every other module.  Each declares its wires() (Circuit.add checks they
+# are in range and distinct), any further check(circuit), its text KEYWORD
+# (GATES maps it back) with text()/from_tokens() for its operands, its
+# charge() for the accountant (row, amount, and the control count of the
+# multi-controlled flip the amount expands, else 0) and its action() for
+# both backends: ("flip", controls, targets) for X, CX, Toffoli and
+# MCBitmask (masked targets only), ("z", q), ("h", q) or ("qram", address,
+# data, table_id).  H may only lead (LEADING); the rest are signed
+# permutations of basis states.
+
+_ARITY = {1: "one qubit", 2: "two qubits", 3: "three qubits"}
+
+
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise CircuitError(f"expected integer, got {token!r}") from None
+
+
+class _Gate:
+    """Defaults of the gate table: integer fields that are the wires in order."""
+
+    __slots__ = ()
+    KEYWORD: ClassVar[str]
+    LEADING: ClassVar[bool] = False
+
+    def check(self, circuit: Circuit) -> None:
+        pass
+
+    def text(self) -> str:
+        return " ".join(map(str, self.wires()))
+
+    @classmethod
+    def from_tokens(cls, tokens: list[str]):
+        arity = len(cls.__match_args__)
+        if len(tokens) != arity:
+            raise CircuitError(f"{cls.KEYWORD} takes {_ARITY[arity]}")
+        return cls(*map(_int, tokens))
+
+    def charge(self) -> tuple[str, int, int]:
+        return self.KEYWORD, 1, 0
+
+
+class _OneQubit(_Gate):
+    __slots__ = ()
+
+    def wires(self) -> tuple[int, ...]:
+        return (self.target,)
+
+    def text(self) -> str:  # X alone is most of an explicit-mode circuit's lines
+        return str(self.target)
 
 
 @dataclass(frozen=True, slots=True)
-class H:
+class H(_OneQubit):
     target: int
+    KEYWORD: ClassVar[str] = "H"
+    LEADING: ClassVar[bool] = True
+
+    def action(self) -> tuple:
+        return ("h", self.target)
 
 
 @dataclass(frozen=True, slots=True)
-class X:
+class X(_OneQubit):
     target: int
+    KEYWORD: ClassVar[str] = "X"
+
+    def action(self) -> tuple:
+        return ("flip", (), (self.target,))
 
 
 @dataclass(frozen=True, slots=True)
-class Z:
+class Z(_OneQubit):
     target: int
+    KEYWORD: ClassVar[str] = "Z"
+
+    def action(self) -> tuple:
+        return ("z", self.target)
 
 
 @dataclass(frozen=True, slots=True)
-class CX:
+class CX(_Gate):
     control: int
     target: int
+    KEYWORD: ClassVar[str] = "CX"
+
+    def wires(self) -> tuple[int, ...]:
+        return (self.control, self.target)
+
+    def action(self) -> tuple:
+        return ("flip", (self.control,), (self.target,))
 
 
 @dataclass(frozen=True, slots=True)
-class Toffoli:
+class Toffoli(_Gate):
     control1: int
     control2: int
     target: int
+    KEYWORD: ClassVar[str] = "CCX"
+
+    def wires(self) -> tuple[int, ...]:
+        return (self.control1, self.control2, self.target)
+
+    def action(self) -> tuple:
+        return ("flip", (self.control1, self.control2), (self.target,))
 
 
 @dataclass(frozen=True, slots=True)
-class MCBitmask:
+class MCBitmask(_Gate):
     """If all controls are 1, flip targets[j] for every j with mask[j] == 1.
 
     `ancilla` names the borrowed work qubit charged by the cost model; the
@@ -125,10 +203,45 @@ class MCBitmask:
     mask: BitString
     targets: tuple[int, ...]
     ancilla: int
+    KEYWORD: ClassVar[str] = "MCB"
+
+    def wires(self) -> tuple[int, ...]:
+        return (*self.controls, *self.targets, self.ancilla)
+
+    def check(self, circuit: Circuit) -> None:
+        if not self.controls:
+            raise CircuitError("MCBitmask needs at least one control")
+        if len(self.mask) != len(self.targets):
+            raise CircuitError(f"mask width {len(self.mask)} does not match "
+                               f"target count {len(self.targets)}")
+
+    def action(self) -> tuple:
+        return ("flip", self.controls, tuple(t for b, t in zip(self.mask, self.targets) if b))
+
+    def text(self) -> str:
+        wires = " ".join(map(str, (*self.controls, *self.targets)))
+        return f"{self.ancilla} {''.join(map(str, self.mask))} {len(self.controls)} {wires}"
+
+    @classmethod
+    def from_tokens(cls, tokens: list[str]) -> MCBitmask:
+        if len(tokens) < 3:
+            raise CircuitError("malformed MCB gate")
+        ancilla, maskbits = _int(tokens[0]), tokens[1]
+        if maskbits.strip("01"):
+            raise CircuitError("mask must be a 0/1 string")
+        n_controls, wires = _int(tokens[2]), [_int(t) for t in tokens[3:]]
+        if len(wires) != n_controls + len(maskbits):
+            raise CircuitError("MCB wire count mismatch")
+        return cls(tuple(wires[:n_controls]), BitString(tuple(map(int, maskbits))),
+                   tuple(wires[n_controls:]), ancilla)
+
+    def charge(self) -> tuple[str, int, int]:
+        k = len(self.controls)
+        return "CCX", self.mask.popcount() * mcx_toffoli_cost(k), k
 
 
 @dataclass(frozen=True, slots=True)
-class QramLoad:
+class QramLoad(_Gate):
     """XOR the table value at the current address into the data qubits.
 
     Addresses missing from the table load zero.  Address and data qubit
@@ -139,9 +252,42 @@ class QramLoad:
     address: tuple[int, ...]
     data: tuple[int, ...]
     table_id: str
+    KEYWORD: ClassVar[str] = "QRAM"
+
+    def wires(self) -> tuple[int, ...]:
+        return (*self.address, *self.data)
+
+    def check(self, circuit: Circuit) -> None:
+        if not self.address or not self.data:
+            raise CircuitError("QramLoad needs address and data qubits")
+        table = circuit.tables.get(self.table_id)
+        if table is None:
+            raise CircuitError(f"QramLoad references unregistered table {self.table_id!r}")
+        if (table.address_width, table.data_width) != (len(self.address), len(self.data)):
+            raise CircuitError(f"table {self.table_id!r} is {table.address_width}->"
+                               f"{table.data_width} bits, gate wires are "
+                               f"{len(self.address)}->{len(self.data)}")
+
+    def action(self) -> tuple:
+        return ("qram", self.address, self.data, self.table_id)
+
+    def text(self) -> str:
+        address, data = (" ".join(map(str, wires)) for wires in (self.address, self.data))
+        return f"{self.table_id} {len(self.address)} {address} {len(self.data)} {data}"
+
+    @classmethod
+    def from_tokens(cls, tokens: list[str]) -> QramLoad:
+        if len(tokens) < 3:
+            raise CircuitError("malformed QRAM gate")
+        n_address, tail = _int(tokens[1]), [_int(t) for t in tokens[2:]]
+        if len(tail) < n_address + 1 or len(tail[n_address + 1:]) != tail[n_address]:
+            raise CircuitError("QRAM wire count mismatch")
+        return cls(tuple(tail[:n_address]), tuple(tail[n_address + 1:]), tokens[0])
 
 
 Gate = H | X | Z | CX | Toffoli | MCBitmask | QramLoad
+GATES: dict[str, type] = {cls.KEYWORD: cls for cls in Gate.__args__}
+VOCABULARY = frozenset(Gate.__args__)
 
 
 def mcx_toffoli_cost(controls: int) -> int:
@@ -187,7 +333,7 @@ class Circuit:
     _step: str = field(default="", compare=False, repr=False)
 
     def begin_step(self, label: str) -> None:
-        if not label or any(ch.isspace() for ch in label):
+        if label.split() != [label]:  # empty, or holds whitespace
             raise CircuitError(f"step label must be non-empty and without whitespace: {label!r}")
         self._step = label
 
@@ -212,56 +358,19 @@ class Circuit:
     def add(self, gate: Gate) -> None:
         if not self._step:
             raise CircuitError("begin_step must be called before adding gates")
-        if isinstance(gate, H):
+        if type(gate) not in VOCABULARY:
+            raise CircuitError(f"unknown gate {gate!r}")
+        wires = gate.wires()
+        for q in wires:
+            if not isinstance(q, int) or not 0 <= q < self.n_qubits:
+                self._check_qubit(q)  # raises; tested inline since add runs per gate
+        if len(wires) > 1 and len(set(wires)) != len(wires):
+            raise CircuitError(f"{type(gate).__name__} wires {wires} must differ")
+        gate.check(self)
+        if gate.LEADING:
             if len(self.gates) != self.h_layer_size:
                 raise CircuitError("H gates are only allowed in the leading layer")
-            self._check_qubit(gate.target)
             self.h_layer_size += 1
-        elif isinstance(gate, (X, Z)):
-            self._check_qubit(gate.target)
-        elif isinstance(gate, CX):
-            self._check_qubit(gate.control)
-            self._check_qubit(gate.target)
-            if gate.control == gate.target:
-                raise CircuitError("CX control and target must differ")
-        elif isinstance(gate, Toffoli):
-            ops = (gate.control1, gate.control2, gate.target)
-            for q in ops:
-                self._check_qubit(q)
-            if len(set(ops)) != 3:
-                raise CircuitError("Toffoli operands must be three distinct qubits")
-        elif isinstance(gate, MCBitmask):
-            if not gate.controls:
-                raise CircuitError("MCBitmask needs at least one control")
-            if len(gate.mask) != len(gate.targets):
-                raise CircuitError(
-                    f"mask width {len(gate.mask)} does not match target count {len(gate.targets)}"
-                )
-            for q in (*gate.controls, *gate.targets, gate.ancilla):
-                self._check_qubit(q)
-            cset, tset = set(gate.controls), set(gate.targets)
-            if len(cset) != len(gate.controls) or len(tset) != len(gate.targets):
-                raise CircuitError("MCBitmask controls and targets must each be distinct")
-            if cset & tset or gate.ancilla in cset or gate.ancilla in tset:
-                raise CircuitError("MCBitmask controls, targets, and ancilla must be pairwise disjoint")
-        elif isinstance(gate, QramLoad):
-            if not gate.address or not gate.data:
-                raise CircuitError("QramLoad needs address and data qubits")
-            for q in (*gate.address, *gate.data):
-                self._check_qubit(q)
-            aset, dset = set(gate.address), set(gate.data)
-            if len(aset) != len(gate.address) or len(dset) != len(gate.data) or aset & dset:
-                raise CircuitError("QramLoad address and data qubits must be distinct and disjoint")
-            table = self.tables.get(gate.table_id)
-            if table is None:
-                raise CircuitError(f"QramLoad references unregistered table {gate.table_id!r}")
-            if table.address_width != len(gate.address) or table.data_width != len(gate.data):
-                raise CircuitError(
-                    f"table {gate.table_id!r} is {table.address_width}->{table.data_width} bits, "
-                    f"gate wires are {len(gate.address)}->{len(gate.data)}"
-                )
-        else:
-            raise CircuitError(f"unknown gate {gate!r}")
         self.gates.append(gate)
         self.steps.append(self._step)
 
@@ -293,13 +402,3 @@ def new_circuit(layout: list[tuple[str, int]] | tuple[tuple[str, int], ...]) -> 
         offset += width
     return Circuit(n_qubits=offset, registers=registers)
 
-
-def emit_mcbitmask(
-    circuit: Circuit,
-    controls,
-    mask: BitString,
-    targets,
-    ancilla: int,
-) -> None:
-    """Append one multi-controlled bitmask flip; validation happens in add."""
-    circuit.add(MCBitmask(tuple(controls), mask, tuple(targets), ancilla))

@@ -22,9 +22,11 @@ Hadamards to the X-measured qubits at the end and reads the all-zero
 amplitudes.  It shares no lowering and no acceptance math with the
 path-sum backend, which is what makes the agreement check meaningful.
 
-Path-sum ops place bitmasks and table values as int64 masks over qubit
-indices, and `apply_gates` takes int64 basis words, so the path-sum backend
-is capped at 62 qubits; the dense backend has a much smaller qubit cap.
+Both backends read each gate's action (a flip of targets under controls, a
+phase flip, a Hadamard or a table load) from the gate table in `ir.py`, and
+the path-sum backend lowers it straight to qubit indices.  Only
+`apply_gates`'s int64 basis words limit the path-sum width, and the backend
+keeps an explicit 62-qubit cap; the dense backend has a much smaller one.
 """
 
 from __future__ import annotations
@@ -35,17 +37,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ir import CX, Circuit, H, MCBitmask, QramLoad, Toffoli, X, Z
+from .ir import VOCABULARY, Circuit, H
 
 DENSE_CAP_DEFAULT = 22
 BRANCH_CAP_DEFAULT = 24
-# The column kernel itself has no qubit limit; the int64 placed masks and
-# words do.  The cap stays explicit at 62 because the benchmark's self-test
+# The column kernel itself has no qubit limit; only `apply_gates`'s int64
+# words do.  Every path-sum call keeps the explicit 62-qubit cap because
+# the benchmark's self-test
 # (perfbench/test_bench.py::test_raised_error_counts_as_failed) relies on
 # 3sum n=64 U=1000, 65 qubits, being refused; lifting it means moving that
 # test to another cap in the same change.
 _WORD_QUBIT_CAP = 62
 _SQRT_HALF = np.sqrt(0.5)
+_VARYING = "unmeasured qubits vary over the accepted branches; the path sum cannot add them"
 
 
 class SimulationError(RuntimeError):
@@ -67,48 +71,33 @@ class SimOutcome:
     p_acc: Fraction
 
 
-def _placed_mask(mask_bits, targets: tuple[int, ...]) -> int:
-    return sum(1 << targets[j] for j, b in enumerate(mask_bits) if b)
-
-
 def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
-    """Lower gates[start:] to the path-sum ops."""
+    """Lower gates[start:] to the column kernel's ops, which are the gates' actions.
+
+    A table load becomes ("qram", address, data, bits): one 0/1 row of
+    `bits`, indexed by address, per data qubit that some entry sets.
+    """
     if circuit.n_qubits > _WORD_QUBIT_CAP:
         raise CapExceededError(
             f"{circuit.n_qubits} qubits exceed the {_WORD_QUBIT_CAP}-qubit word cap")
     ops: list[tuple] = []
     for gate in circuit.gates[start:]:
-        if isinstance(gate, H):
-            raise SimulationError("H is not a basis-state permutation")
-        elif isinstance(gate, X):
-            ops.append(("x", gate.target))
-        elif isinstance(gate, Z):
-            ops.append(("z", gate.target))
-        elif isinstance(gate, CX):
-            ops.append(("cx", gate.control, gate.target))
-        elif isinstance(gate, Toffoli):
-            ops.append(("ccx", gate.control1, gate.control2, gate.target))
-        elif isinstance(gate, MCBitmask):
-            ops.append(("mcb", gate.controls, _placed_mask(gate.mask, gate.targets)))
-        elif isinstance(gate, QramLoad):
-            table = circuit.tables[gate.table_id]
-            lut = np.zeros(1 << len(gate.address), dtype=np.int64)
-            for address, value in table.entries:
-                lut[address] = _placed_mask(
-                    ((value >> j) & 1 for j in range(len(gate.data))), gate.data)
-            ops.append(("qram", gate.address, lut))
-        else:
+        if type(gate) not in VOCABULARY:
             raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
+        op = gate.action()
+        if op[0] == "h":
+            raise SimulationError("H is not a basis-state permutation")
+        if op[0] == "qram":
+            _, address, data, table_id = op
+            bits = np.zeros((len(data), 1 << len(address)), dtype=np.uint8)
+            for entry, value in circuit.tables[table_id].entries:
+                bits[:, entry] = [(value >> j) & 1 for j in range(len(data))]
+            kept = np.flatnonzero(bits.any(axis=1))
+            if len(kept):
+                ops.append(("qram", address, [data[j] for j in kept], bits[kept]))
+            continue
+        ops.append(op)
     return ops
-
-
-def _qubits(placed: int) -> list[int]:
-    qubits = []
-    while placed:
-        low = placed & -placed
-        qubits.append(low.bit_length() - 1)
-        placed ^= low
-    return qubits
 
 
 def _pack(bits: np.ndarray) -> list[int]:
@@ -125,30 +114,8 @@ def _unpack(columns: list[int], count: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=count, bitorder="little")
 
 
-def _slice_ops(ops: list[tuple]) -> list[tuple]:
-    """Decode the placed masks of lowered ops into the qubits the column kernel indexes.
-
-    A QramLoad keeps its address qubits and becomes a 0/1 table per data
-    qubit, indexed by address.
-    """
-    sliced: list[tuple] = []
-    for op in ops:
-        kind = op[0]
-        if kind == "mcb":
-            sliced.append(("mcb", op[1], _qubits(op[2])))
-        elif kind == "qram":
-            _, address, lut = op
-            data = _qubits(int(np.bitwise_or.reduce(lut)))
-            if data:
-                shifts = np.array(data, dtype=np.int64)[:, None]
-                sliced.append(("qram", address, data, ((lut >> shifts) & 1).astype(np.uint8)))
-        else:
-            sliced.append(op)
-    return sliced
-
-
 def _apply_columns(ops: list[tuple], cols: list[int], full: int) -> int:
-    """Run sliced ops over one chunk of branches; return its sign column.
+    """Run lowered ops over one chunk of branches; return its sign column.
 
     `cols[q]` holds qubit q of every branch in the chunk, branch i at bit i,
     and is updated in place; `full` has one bit set per branch.  A set bit
@@ -157,21 +124,17 @@ def _apply_columns(ops: list[tuple], cols: list[int], full: int) -> int:
     sign = 0
     for op in ops:
         kind = op[0]
-        if kind == "x":
-            cols[op[1]] ^= full
-        elif kind == "mcb":
+        if kind == "flip":
             _, controls, targets = op
-            fire = full
-            for c in controls:
-                fire &= cols[c]
+            if controls:
+                fire = cols[controls[0]]
+                for c in controls[1:]:
+                    fire &= cols[c]
+            else:
+                fire = full
             if fire:
                 for t in targets:
                     cols[t] ^= fire
-        elif kind == "cx":
-            cols[op[2]] ^= cols[op[1]]
-        elif kind == "ccx":
-            _, c1, c2, t = op
-            cols[t] ^= cols[c1] & cols[c2]
         elif kind == "z":
             sign ^= cols[op[1]]
         else:
@@ -198,7 +161,7 @@ def apply_gates(circuit: Circuit, words: np.ndarray, signs: np.ndarray | None = 
     """
     if signs is None:
         signs = np.ones(len(words), dtype=np.int64)
-    ops = _slice_ops(_compile_ops(circuit, start=start))
+    ops = _compile_ops(circuit, start=start)
     count, qubits = len(words), np.arange(circuit.n_qubits, dtype=np.int64)[:, None]
     cols = _pack(((words >> qubits) & 1).astype(np.uint8))
     flips = _apply_columns(ops, cols, (1 << count) - 1)
@@ -253,7 +216,8 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
 
     Branches are evaluated in fixed-size chunks whose partial sums combine
     by integer addition, so chunking and the thread count never change the
-    result.
+    result.  Raises SimulationError unless every unmeasured qubit holds one
+    value over all accepted branches.
     """
     plan = circuit.measurement
     if plan is None:
@@ -262,9 +226,9 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
     h = len(h_targets)
     if h > branch_cap:
         raise CapExceededError(f"2^{h} branches exceed the 2^{branch_cap} branch cap")
-    ops = _slice_ops(_compile_ops(circuit, start=h))
+    ops = _compile_ops(circuit, start=h)
 
-    def run_chunk(lo: int, hi: int) -> tuple[int, int]:
+    def run_chunk(lo: int, hi: int) -> tuple[int, int, tuple[bool, ...] | None]:
         full = (1 << (hi - lo)) - 1
         cols = [0] * circuit.n_qubits
         for q, column in zip(h_targets, _branch_columns(lo, hi, h)):
@@ -275,7 +239,11 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
             rejected |= cols[q]
         accepted = full & ~rejected
         n_accepted = accepted.bit_count()
-        return n_accepted - 2 * (accepted & sign).bit_count(), n_accepted
+        held = tuple(cols[q] & accepted for q in plan.unmeasured)
+        if any(bits not in (0, accepted) for bits in held):
+            raise SimulationError(_VARYING)
+        return (n_accepted - 2 * (accepted & sign).bit_count(), n_accepted,
+                tuple(bits == accepted for bits in held) if accepted else None)
 
     n_branches = 1 << h
     bounds = [(lo, min(lo + chunk_size, n_branches)) for lo in range(0, n_branches, chunk_size)]
@@ -284,6 +252,8 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
             parts = list(pool.map(lambda b: run_chunk(*b), bounds))
     else:
         parts = [run_chunk(lo, hi) for lo, hi in bounds]
+    if len({p[2] for p in parts} - {None}) > 1:
+        raise SimulationError(_VARYING)
     signed_sum = sum(p[0] for p in parts)
     n_accepted = sum(p[1] for p in parts)
     exponent = h + len(plan.x_qubits)
@@ -311,9 +281,9 @@ def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndar
     """Full statevector after the circuit body, index bit q holding qubit q.
 
     Real float64 of shape (2,)*n, qubit q on axis n-1-q, returned flat.  Each
-    gate acts in place on the view that pins its controls to 1.  An
-    uncontrolled X moves no data: it toggles bit q of `frame`, which marks
-    the axes held flipped until the end.
+    gate acts in place on the view that pins its controls to 1.  A flip
+    with no controls moves no data: it toggles its targets' bits of
+    `frame`, which marks the axes held flipped until the end.
     """
     n = circuit.n_qubits
     if n > cap:
@@ -322,28 +292,28 @@ def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndar
     psi[(0,) * n] = 1.0
     frame = 0
     for gate in circuit.gates:
-        if isinstance(gate, H):
-            a, b = (_pinned(psi, ((gate.target, bit),), frame) for bit in (0, 1))
-            a[...], b[...] = (a + b) * _SQRT_HALF, (a - b) * _SQRT_HALF
-        elif isinstance(gate, X):
-            frame ^= 1 << gate.target
-        elif isinstance(gate, Z):
-            _pinned(psi, ((gate.target, 1),), frame)[...] *= -1
-        elif isinstance(gate, CX):
-            _flip(_pinned(psi, ((gate.control, 1),), frame), (gate.target,))
-        elif isinstance(gate, Toffoli):
-            _flip(_pinned(psi, ((gate.control1, 1), (gate.control2, 1)), frame), (gate.target,))
-        elif isinstance(gate, MCBitmask):
-            _flip(_pinned(psi, ((c, 1) for c in gate.controls), frame),
-                  (t for bit, t in zip(gate.mask, gate.targets) if bit))
-        elif isinstance(gate, QramLoad):
-            # Addresses missing from the table load 0: nothing to flip.
-            for address, value in circuit.tables[gate.table_id].entries:
-                pins = ((q, (address >> j) & 1) for j, q in enumerate(gate.address))
-                flips = (q for j, q in enumerate(gate.data) if (value >> j) & 1)
-                _flip(_pinned(psi, pins, frame), flips)
-        else:
+        if type(gate) not in VOCABULARY:
             raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
+        op = gate.action()
+        kind = op[0]
+        if kind == "flip":
+            _, controls, targets = op
+            if controls:
+                _flip(_pinned(psi, ((c, 1) for c in controls), frame), targets)
+            else:
+                frame ^= sum(1 << t for t in targets)
+        elif kind == "z":
+            _pinned(psi, ((op[1], 1),), frame)[...] *= -1
+        elif kind == "h":
+            a, b = (_pinned(psi, ((op[1], bit),), frame) for bit in (0, 1))
+            a[...], b[...] = (a + b) * _SQRT_HALF, (a - b) * _SQRT_HALF
+        else:
+            _, address, data, table_id = op
+            # Addresses missing from the table load 0: nothing to flip.
+            for entry, value in circuit.tables[table_id].entries:
+                pins = ((q, (entry >> j) & 1) for j, q in enumerate(address))
+                flips = (q for j, q in enumerate(data) if (value >> j) & 1)
+                _flip(_pinned(psi, pins, frame), flips)
     _flip(psi, (q for q in range(n) if (frame >> q) & 1))
     return psi.reshape(-1)
 

@@ -14,8 +14,9 @@ Grammar (one directive per line; `#` starts a comment; blank lines ignored):
     gate <step> QRAM <table_id> <n_address> <address...> <n_data> <data...>
 
 `maskbits` is a 0/1 string written low bit first; qubit lists are
-little-endian (first qubit = low bit).  Gates appear in execution order and
-keep their step tags, so parsing rebuilds an equal circuit.
+little-endian (first qubit = low bit); each gate class in `ir.py` reads and
+writes its own operands.  Gates appear in execution order and keep their
+step tags, so parsing rebuilds an equal circuit.
 
 A built circuit adds a parameter header in front of the same body:
 
@@ -28,9 +29,7 @@ from __future__ import annotations
 
 from .builders import BuiltCircuit
 from .dataload import DataTable
-from .ir import CX, Circuit, CircuitError, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit
-
-_SIMPLE = {"H": H, "X": X, "Z": Z}
+from .ir import GATES, VOCABULARY, Circuit, CircuitError, new_circuit
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -48,26 +47,10 @@ def circuit_to_text(circuit: Circuit) -> str:
         for address, value in table.entries:
             lines.append(f"row {address} {value}")
     for gate, step in zip(circuit.gates, circuit.steps):
-        lines.append(f"gate {step} {_gate_body(gate)}")
+        if type(gate) not in VOCABULARY:
+            raise CircuitError(f"cannot serialize gate {gate!r}")
+        lines.append(f"gate {step} {gate.KEYWORD} {gate.text()}")
     return "\n".join(lines) + "\n"
-
-
-def _gate_body(gate) -> str:
-    if isinstance(gate, (H, X, Z)):
-        return f"{type(gate).__name__} {gate.target}"
-    if isinstance(gate, CX):
-        return f"CX {gate.control} {gate.target}"
-    if isinstance(gate, Toffoli):
-        return f"CCX {gate.control1} {gate.control2} {gate.target}"
-    if isinstance(gate, MCBitmask):
-        maskbits = "".join(str(b) for b in gate.mask)
-        wires = " ".join(map(str, (*gate.controls, *gate.targets)))
-        return f"MCB {gate.ancilla} {maskbits} {len(gate.controls)} {wires}"
-    if isinstance(gate, QramLoad):
-        address = " ".join(map(str, gate.address))
-        data = " ".join(map(str, gate.data))
-        return f"QRAM {gate.table_id} {len(gate.address)} {address} {len(gate.data)} {data}"
-    raise CircuitError(f"cannot serialize gate {gate!r}")
 
 
 def _tokenize(text: str):
@@ -86,8 +69,6 @@ def _parse_int(token: str, lineno: int) -> int:
 
 def circuit_from_text(text: str) -> Circuit:
     """Parse the format written by circuit_to_text; raises CircuitError on any deviation."""
-    from .ir import BitString, MeasurementPlan  # local to keep module top uncluttered
-
     n_qubits: int | None = None
     layout: list[tuple[str, int]] = []
     offsets: list[int] = []
@@ -152,55 +133,17 @@ def circuit_from_text(text: str) -> Circuit:
             raise CircuitError(f"line {lineno}: malformed gate line")
         _, step, kind, *rest = tokens
         circuit.begin_step(step)
-        if kind in _SIMPLE:
-            if len(rest) != 1:
-                raise CircuitError(f"line {lineno}: {kind} takes one qubit")
-            circuit.add(_SIMPLE[kind](_parse_int(rest[0], lineno)))
-        elif kind == "CX":
-            if len(rest) != 2:
-                raise CircuitError(f"line {lineno}: CX takes two qubits")
-            circuit.add(CX(*(_parse_int(t, lineno) for t in rest)))
-        elif kind == "CCX":
-            if len(rest) != 3:
-                raise CircuitError(f"line {lineno}: CCX takes three qubits")
-            circuit.add(Toffoli(*(_parse_int(t, lineno) for t in rest)))
-        elif kind == "MCB":
-            if len(rest) < 3:
-                raise CircuitError(f"line {lineno}: malformed MCB gate")
-            ancilla = _parse_int(rest[0], lineno)
-            maskbits = rest[1]
-            if any(ch not in "01" for ch in maskbits):
-                raise CircuitError(f"line {lineno}: mask must be a 0/1 string")
-            n_controls = _parse_int(rest[2], lineno)
-            wires = [_parse_int(t, lineno) for t in rest[3:]]
-            if len(wires) != n_controls + len(maskbits):
-                raise CircuitError(f"line {lineno}: MCB wire count mismatch")
-            circuit.add(MCBitmask(
-                controls=tuple(wires[:n_controls]),
-                mask=BitString(tuple(int(ch) for ch in maskbits)),
-                targets=tuple(wires[n_controls:]),
-                ancilla=ancilla,
-            ))
-        elif kind == "QRAM":
-            if len(rest) < 3:
-                raise CircuitError(f"line {lineno}: malformed QRAM gate")
-            table_id = rest[0]
-            n_address = _parse_int(rest[1], lineno)
-            tail = [_parse_int(t, lineno) for t in rest[2:]]
-            if len(tail) < n_address + 1:
-                raise CircuitError(f"line {lineno}: QRAM wire count mismatch")
-            address = tuple(tail[:n_address])
-            n_data = tail[n_address]
-            data = tuple(tail[n_address + 1:])
-            if len(data) != n_data:
-                raise CircuitError(f"line {lineno}: QRAM wire count mismatch")
-            circuit.add(QramLoad(address, data, table_id))
-        else:
+        cls = GATES.get(kind)
+        if cls is None:
             raise CircuitError(f"line {lineno}: unknown gate kind {kind!r}")
+        try:
+            gate = cls.from_tokens(rest)
+        except CircuitError as err:
+            raise CircuitError(f"line {lineno}: {err}") from None
+        circuit.add(gate)
 
     if measure:
-        plan = MeasurementPlan(measure.get("z", ()), measure.get("x", ()), measure.get("none", ()))
-        circuit.set_measurement(plan.z_qubits, plan.x_qubits, plan.unmeasured)
+        circuit.set_measurement(measure.get("z", ()), measure.get("x", ()), measure.get("none", ()))
     return circuit
 
 

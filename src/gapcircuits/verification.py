@@ -32,7 +32,7 @@ from .builders import (
     PROBLEM_OV,
     MODE_QRAM,
 )
-from .ir import CX, H, MCBitmask, QramLoad, Toffoli, X, Z, mcx_toffoli_cost
+from .ir import VOCABULARY, mcx_toffoli_cost
 from .simulator import (
     BRANCH_CAP_DEFAULT,
     DENSE_CAP_DEFAULT,
@@ -134,34 +134,28 @@ _SMALL_CONTROL_NOTE = (
 def tally_gates(circuit) -> dict[str, dict[str, int]]:
     """Per-step primitive counts with multi-controlled flips expanded.
 
-    The CCX row counts Toffoli-equivalent primitives: literal Toffolis plus
-    the expansion cost popcount(mask) * mcx_toffoli_cost(#controls) of each
-    bitmask flip (a single-control expansion is really a CX but is charged
-    here, consistently with the budgets).  QRAM counts lookup gates.
+    Rows and amounts come from each gate's `charge()`.  The CCX row counts
+    Toffoli-equivalent primitives: literal Toffolis plus the expansion cost
+    popcount(mask) * mcx_toffoli_cost(#controls) of each bitmask flip (a
+    single-control expansion is really a CX but is charged here,
+    consistently with the budgets).  QRAM counts lookup gates.
     """
+    return _tally(circuit)[0]
+
+
+def _tally(circuit) -> tuple[dict[str, dict[str, int]], bool]:
+    """tally_gates, and whether any charged flip expands at most 3 controls."""
     per_step: dict[str, dict[str, int]] = {}
+    small_control = False
     for gate, step in zip(circuit.gates, circuit.steps):
-        row = per_step.setdefault(step, {})
-        if isinstance(gate, H):
-            kind, amount = "H", 1
-        elif isinstance(gate, X):
-            kind, amount = "X", 1
-        elif isinstance(gate, Z):
-            kind, amount = "Z", 1
-        elif isinstance(gate, CX):
-            kind, amount = "CX", 1
-        elif isinstance(gate, Toffoli):
-            kind, amount = "CCX", 1
-        elif isinstance(gate, MCBitmask):
-            kind = "CCX"
-            amount = gate.mask.popcount() * mcx_toffoli_cost(len(gate.controls))
-        elif isinstance(gate, QramLoad):
-            kind, amount = "QRAM", 1
-        else:
+        if type(gate) not in VOCABULARY:
             raise InstanceError(f"unknown gate {gate!r}")
+        row = per_step.setdefault(step, {})
+        kind, amount, controls = gate.charge()
         if amount:
             row[kind] = row.get(kind, 0) + amount
-    return per_step
+            small_control |= 0 < controls <= 3
+    return per_step, small_control
 
 
 def step_gate_bounds(problem: str, mode: str, n: int, r: int, d: int) -> dict[str, dict[str, int]]:
@@ -227,18 +221,16 @@ class GateCountReport:
 
 def gate_accountant(built: BuiltCircuit) -> GateCountReport:
     """Compare actual per-step counts against the budgets; all must be <=."""
-    per_step = tally_gates(built.circuit)
+    per_step, small_control = _tally(built.circuit)
     bounds = step_gate_bounds(built.problem, built.mode, built.n, built.r, built.d)
-    ok = True
+    # Every gate needs its step tag, or the per-step rows miscount.
+    ok = len(built.circuit.gates) == len(built.circuit.steps)
     for step, row in per_step.items():
         allowed = bounds.get(step, {})
         for kind, count in row.items():
             if count > allowed.get(kind, 0):
                 ok = False
-    notes = []
-    if any(isinstance(g, MCBitmask) and g.mask.popcount() and len(g.controls) <= 3
-           for g in built.circuit.gates):
-        notes.append(_SMALL_CONTROL_NOTE)
+    notes = [_SMALL_CONTROL_NOTE] if small_control else []
     return GateCountReport(per_step, bounds, ok, tuple(notes))
 
 

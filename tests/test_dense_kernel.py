@@ -4,12 +4,11 @@ Random circuits of at most 8 qubits run through `simulate_dense` and
 through the per-branch interpreter of `reference_interpreter`: the
 amplitude at each basis word must be the sum of sign * 2^(-h/2) over the
 Hadamard branches that land on it.  `dense_acceptance` must match the
-acceptance probability marginalized from those amplitudes, and, when no
-qubit is left unmeasured, the exact path-sum probability.  The path-sum
-formula adds every accepted branch into one amplitude, so it holds only
-when the unmeasured qubits end in one fixed state, as the builders'
-ancillas do.  The dense backend must not depend on the lowering that the
-path-sum backend uses.
+acceptance probability marginalized from those amplitudes, and the exact
+path-sum probability whenever the path-sum backend returns one (it refuses
+circuits whose unmeasured qubits end in more than one state over the
+accepted branches).  The dense backend must not depend on the lowering that
+the path-sum backend uses.
 """
 
 from collections import defaultdict
@@ -24,7 +23,12 @@ from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, build_circuit
 from gapcircuits.dataload import DataTable
 from gapcircuits.instancefile import generate_ov, generate_threesum
 from gapcircuits.ir import CX, BitString, H, MCBitmask, QramLoad, X, Z, new_circuit
-from gapcircuits.simulator import dense_acceptance, simulate_dense, simulate_pathsum
+from gapcircuits.simulator import (
+    SimulationError,
+    dense_acceptance,
+    simulate_dense,
+    simulate_pathsum,
+)
 from reference_interpreter import random_circuit, reference_word
 
 TOLERANCE = 1e-12
@@ -60,8 +64,11 @@ def _check_against_reference(circuit):
     p_acc = dense_acceptance(circuit, state)
     assert np.array_equal(state, before)  # the caller's state is left as it was
     assert abs(p_acc - _reference_acceptance(circuit, amplitudes)) <= TOLERANCE
-    if not circuit.measurement.unmeasured:
-        assert abs(p_acc - float(simulate_pathsum(circuit).p_acc)) <= TOLERANCE
+    try:
+        exact = simulate_pathsum(circuit).p_acc
+    except SimulationError:
+        return
+    assert abs(p_acc - float(exact)) <= TOLERANCE
 
 
 @pytest.mark.parametrize("h", [0, 1, 3, 5])

@@ -1,5 +1,7 @@
 """IR construction rules: registers, gate validation, measurement plans."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +18,11 @@ from gapcircuits.ir import (
     mcx_toffoli_cost,
     new_circuit,
 )
+from gapcircuits.builders import InstanceError
 from gapcircuits.dataload import DataTable
+from gapcircuits.simulator import SimulationError, simulate_dense, simulate_pathsum
+from gapcircuits.textio import circuit_to_text
+from gapcircuits.verification import tally_gates
 
 
 def test_bitstring_int_round_trip():
@@ -137,3 +143,30 @@ def test_mcx_toffoli_cost_schedule():
     assert [mcx_toffoli_cost(k) for k in (1, 2, 3, 4, 5, 10)] == [1, 1, 4, 8, 16, 56]
     with pytest.raises(CircuitError):
         mcx_toffoli_cost(0)
+
+
+@dataclass(frozen=True, slots=True)
+class Swap:
+    """A gate outside the vocabulary."""
+
+    a: int
+    b: int
+
+
+def test_foreign_gate_refused_everywhere():
+    circ = new_circuit([("q", 2)])
+    circ.begin_step("1")
+    with pytest.raises(CircuitError, match="unknown gate"):
+        circ.add(Swap(0, 1))
+    circ.add(X(0))
+    circ.set_measurement((0,), (1,))
+    circ.gates.append(Swap(0, 1))
+    circ.steps.append("1")
+    with pytest.raises(CircuitError, match="Swap"):
+        circuit_to_text(circ)
+    with pytest.raises(InstanceError, match="Swap"):
+        tally_gates(circ)
+    with pytest.raises(SimulationError, match="Swap"):
+        simulate_pathsum(circ)
+    with pytest.raises(SimulationError, match="Swap"):
+        simulate_dense(circ)

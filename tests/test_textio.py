@@ -1,5 +1,7 @@
 """Text round-trips for circuits and built-circuit files."""
 
+import hashlib
+
 import pytest
 
 from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, build_circuit
@@ -12,6 +14,7 @@ from gapcircuits.textio import (
     circuit_from_text,
     circuit_to_text,
 )
+from gapcircuits.verification import render_report, verify_built
 
 
 @pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
@@ -30,6 +33,31 @@ def test_circuit_round_trip(make, args, mode):
     assert back.measurement == built.circuit.measurement
     assert back.h_layer_size == built.circuit.h_layer_size
     assert circuit_to_text(back) == text  # canonical form is a fixed point
+
+
+# First 16 hex digits of the sha256 of built_to_text and of render_report,
+# for each circuit of test_circuit_round_trip.
+GOLDEN = {
+    ("ov", MODE_QRAM): ("1e23d81dc13bd227", "09e3c872d6c07b54"),
+    ("ov", MODE_EXPLICIT): ("9d24056fffc273b7", "18f6820015f2f9c6"),
+    ("3sum", MODE_QRAM): ("9cb06bdee3bc82cb", "2ed8e298064f1ee9"),
+    ("3sum", MODE_EXPLICIT): ("11089714b0d7c572", "2f46c7a3d0819f90"),
+    ("nwt", MODE_QRAM): ("9377a9268b486e1d", "fec65447963627bd"),
+    ("nwt", MODE_EXPLICIT): ("ce9f0971a5b55c10", "082f85fed90a6b9d"),
+}
+
+
+@pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
+@pytest.mark.parametrize("problem,make,args", [
+    ("ov", generate_ov, (3, 2)), ("3sum", generate_threesum, (3, 4)),
+    ("nwt", generate_nwt, (3, 1)),
+])
+def test_text_and_report_bytes_are_pinned(problem, make, args, mode):
+    instance = make(*args, seed=5)
+    built = build_circuit(instance, mode)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in
+                    (built_to_text(built), render_report(verify_built(instance, built))))
+    assert digests == GOLDEN[problem, mode]
 
 
 @pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])

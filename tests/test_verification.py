@@ -98,6 +98,15 @@ def test_mutated_circuit_is_detected():
     assert not result.ok
 
 
+def test_gates_steps_drift_fails_accountant():
+    built = build_circuit(generate_ov(3, 2, seed=5), MODE_QRAM)
+    assert gate_accountant(built).ok
+    built.circuit.gates.pop()  # its step tag stays behind
+    assert not gate_accountant(built).ok
+    built.circuit.steps.pop()
+    assert gate_accountant(built).ok
+
+
 def test_exact_range_check_tallies():
     # step 2 is two width-r >-comparators, so its bounds are met exactly
     for n, d in ((2, 1), (5, 3), (8, 4)):
