@@ -41,7 +41,6 @@ from .dataload import (
     DataTable,
     emit_equality_flag,
     emit_loader_unitary,
-    emit_pair_loader_unitary,
     emit_qram_load,
     qram_semantics,
 )
@@ -109,30 +108,3 @@ from .verification import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArithLayout", "emit_adder", "emit_comparator_ge", "emit_comparator_gt",
-    "BuiltCircuit", "Instance", "InstanceError", "MODE_EXPLICIT", "MODE_QRAM",
-    "NwtInstance", "OVInstance", "PROBLEM_3SUM", "PROBLEM_NWT", "PROBLEM_OV",
-    "ThreeSumInstance", "build_circuit", "build_nwt_circuit", "build_ov_circuit",
-    "build_threesum_circuit", "build_w_matrix", "denom_exponent",
-    "derive_index_width", "derive_sum_width", "derive_weight_width",
-    "hardness_time", "qubit_formula", "sentinel_value",
-    "DataTable", "emit_equality_flag", "emit_loader_unitary",
-    "emit_pair_loader_unitary", "emit_qram_load", "qram_semantics",
-    "BUDGETS", "SCHEMA", "generate", "generate_nwt", "generate_ov",
-    "generate_threesum", "instance_from_dict", "instance_from_text",
-    "instance_to_dict", "instance_to_text", "read_instance", "stable_seed",
-    "write_instance",
-    "BitString", "CX", "Circuit", "CircuitError", "Gate", "H", "MCBitmask",
-    "MeasurementPlan", "QramLoad", "Register", "Toffoli", "X", "Z",
-    "mcx_toffoli_cost", "new_circuit",
-    "BRANCH_CAP_DEFAULT", "CapExceededError", "DENSE_CAP_DEFAULT", "SimOutcome",
-    "SimulationError", "acceptance_probability", "apply_gates", "dense_acceptance",
-    "simulate_dense", "simulate_pathsum",
-    "built_from_text", "built_to_text", "circuit_from_text", "circuit_to_text",
-    "DENSE_TOLERANCE", "GateCountReport", "OracleCounts", "VerifyResult",
-    "gate_accountant", "oracle_counts", "oracle_nwt", "oracle_ov",
-    "oracle_threesum", "predicted_pacc", "render_report", "step_gate_bounds",
-    "tally_gates", "verify_built", "verify_instance",
-]

@@ -24,7 +24,6 @@ from .dataload import (
     DataTable,
     emit_equality_flag,
     emit_loader_unitary,
-    emit_pair_loader_unitary,
     emit_qram_load,
 )
 from .ir import BitString, Circuit, H, Toffoli, X, Z, new_circuit
@@ -359,16 +358,17 @@ def build_nwt_circuit(instance: NwtInstance, mode: str = MODE_QRAM) -> BuiltCirc
     side = 1 << r
     entries = tuple((a + (b << r), w[a][b]) for b in range(side) for a in range(side))
     table = DataTable("w", 2 * r, d, entries)
+    x, y, z = regs["x"].qubits, regs["y"].qubits, regs["z"].qubits
     loads = (
-        (regs["x"], regs["y"], regs["wxy"].qubits),
-        (regs["y"], regs["z"], regs["wyz"].qubits[:d]),
-        (regs["x"], regs["z"], regs["wxz"].qubits[:d]),
+        (x + y, regs["wxy"].qubits),
+        (y + z, regs["wyz"].qubits[:d]),
+        (x + z, regs["wxz"].qubits[:d]),
     )
-    for first, second, data_qubits in loads:
+    for address_qubits, data_qubits in loads:
         if mode == MODE_QRAM:
-            emit_qram_load(circuit, table, first.qubits + second.qubits, data_qubits)
+            emit_qram_load(circuit, table, address_qubits, data_qubits)
         else:
-            emit_pair_loader_unitary(circuit, table, first.qubits, second.qubits, data_qubits, anc)
+            emit_loader_unitary(circuit, table, address_qubits, data_qubits, anc)
 
     # Sentinel detection must precede the adders, which overwrite the sums.
     circuit.begin_step("4")

@@ -56,6 +56,8 @@ from .textio import built_from_text, built_to_text
 from .verification import (
     dense_agrees,
     render_report,
+    render_rows,
+    report_rows,
     verify_built,
     verify_instance,
 )
@@ -108,49 +110,26 @@ def _load_circuit_arg(path: str, mode: str):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     built = _load_circuit_arg(args.circuit, args.mode)
-    lines = [
-        f"problem: {built.problem}",
-        f"mode: {built.mode}",
-        f"qubits: {built.circuit.n_qubits}",
-        f"exponent: {built.denom_exponent}",
-    ]
     report: dict = {"problem": built.problem, "mode": built.mode,
                     "qubits": built.circuit.n_qubits, "exponent": built.denom_exponent}
-    outcome = None
-    dense_value: float | None = None
-
     if args.backend in ("pathsum", "both"):
         outcome = simulate_pathsum(built.circuit, branch_cap=args.branch_cap, jobs=args.jobs)
-        pathsum_value = float(outcome.p_acc)
-        lines += [
-            f"pathsum.signed_sum: {outcome.signed_sum}",
-            f"pathsum.branches: {outcome.n_branches}",
-            f"pathsum.accepted: {outcome.n_accepted}",
-            f"pathsum.p_acc: {outcome.p_acc}",
-            f"pathsum.p_acc_float: {pathsum_value!r}",
-        ]
         report["pathsum"] = {"signed_sum": outcome.signed_sum,
                              "branches": outcome.n_branches,
                              "accepted": outcome.n_accepted,
                              "p_acc": str(outcome.p_acc),
-                             "p_acc_float": pathsum_value}
+                             "p_acc_float": float(outcome.p_acc)}
     if args.backend in ("dense", "both"):
         dense_value = dense_acceptance(built.circuit,
                                        simulate_dense(built.circuit, cap=args.dense_cap))
-        lines.append(f"dense.p_acc: {dense_value!r}")
         report["dense"] = {"p_acc": dense_value}
+    if args.backend == "both":
+        report["agree"] = dense_agrees(dense_value, outcome)
 
-    status = 0
-    if outcome is not None and dense_value is not None:
-        agree = dense_agrees(dense_value, outcome)
-        lines.append(f"agree: {'pass' if agree else 'FAIL'}")
-        report["agree"] = agree
-        status = 0 if agree else 1
-
-    print("\n".join(lines))
+    print(render_rows(report_rows(report)))
     if args.out is not None:
         Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return status
+    return 0 if report.get("agree", True) else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -170,15 +149,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(result.ok for result in results) else 1
 
 
-def _bound_ratio(result) -> float:
-    """Worst observed-count / bound across all bounded step rows."""
-    worst = 0.0
-    for step, kinds in result.gates.bounds.items():
-        for kind, bound in kinds.items():
-            if bound > 0:
-                count = result.gates.per_step.get(step, {}).get(kind, 0)
-                worst = max(worst, count / bound)
-    return worst
+def _mode_row(result) -> dict:
+    """One mode's sweep row; bound_ratio is the worst count / bound over bounded rows."""
+    ratios = [result.gates.per_step.get(step, {}).get(kind, 0) / bound
+              for step, kinds in result.gates.bounds.items()
+              for kind, bound in kinds.items() if bound > 0]
+    return {"ok": result.ok, "bound_ratio": round(max(ratios, default=0.0), 6),
+            "gap": result.oracle.gap, "signed_sum": result.outcome.signed_sum}
 
 
 def _run_trial(task: tuple) -> dict:
@@ -186,11 +163,8 @@ def _run_trial(task: tuple) -> dict:
     problem, params, trial, seed, branch_cap = task
     instance = generate(problem, seed, n=params["n"],
                         d=params.get("d"), bound=params.get("bound"))
-    modes = {}
-    for mode in (MODE_QRAM, MODE_EXPLICIT):
-        result = verify_instance(instance, mode, branch_cap=branch_cap)
-        modes[mode] = {"ok": result.ok, "bound_ratio": round(_bound_ratio(result), 6),
-                       "gap": result.oracle.gap, "signed_sum": result.outcome.signed_sum}
+    modes = {mode: _mode_row(verify_instance(instance, mode, branch_cap=branch_cap))
+             for mode in (MODE_QRAM, MODE_EXPLICIT)}
     return {"problem": problem, "params": params, "trial": trial,
             "seed": seed, "modes": modes}
 
@@ -205,9 +179,7 @@ def _mutation_control_row(branch_cap: int) -> dict:
     built.circuit.steps.pop()
     result = verify_built(instance, built, branch_cap=branch_cap)
     return {"problem": PROBLEM_OV, "params": {"n": 2, "d": 1}, "trial": "control",
-            "seed": None, "modes": {MODE_QRAM: {
-                "ok": result.ok, "bound_ratio": round(_bound_ratio(result), 6),
-                "gap": result.oracle.gap, "signed_sum": result.outcome.signed_sum}}}
+            "seed": None, "modes": {MODE_QRAM: _mode_row(result)}}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -93,24 +93,6 @@ def emit_loader_unitary(circuit: Circuit, table: DataTable, address_qubits, data
             circuit.add(X(q))
 
 
-def emit_pair_loader_unitary(circuit: Circuit, table: DataTable, addr1_qubits, addr2_qubits,
-                             data_qubits, ancilla: int) -> None:
-    """Explicit product for a pair-addressed table.
-
-    The address is the concatenation (addr1 low, addr2 high); controls span
-    both registers.  The table is expected to store every pair, sentinel
-    entries included, so the product runs over all of them.
-    """
-    addr1_qubits = tuple(addr1_qubits)
-    addr2_qubits = tuple(addr2_qubits)
-    if len(addr1_qubits) + len(addr2_qubits) != table.address_width:
-        raise CircuitError(
-            f"pair table {table.table_id!r} has address width {table.address_width}, "
-            f"wires supply {len(addr1_qubits)}+{len(addr2_qubits)}"
-        )
-    emit_loader_unitary(circuit, table, addr1_qubits + addr2_qubits, data_qubits, ancilla)
-
-
 def emit_equality_flag(circuit: Circuit, qubits, pattern: BitString, flag: int,
                        ancilla: int) -> None:
     """XOR [qubits == pattern] into the flag qubit.

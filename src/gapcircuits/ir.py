@@ -196,7 +196,8 @@ class MCBitmask(_Gate):
     """If all controls are 1, flip targets[j] for every j with mask[j] == 1.
 
     `ancilla` names the borrowed work qubit charged by the cost model; the
-    gate itself never changes it.  A zero mask is a valid identity gate.
+    gate itself never changes it.  A zero mask over one or more targets is a
+    valid identity gate.
     """
 
     controls: tuple[int, ...]
@@ -211,6 +212,8 @@ class MCBitmask(_Gate):
     def check(self, circuit: Circuit) -> None:
         if not self.controls:
             raise CircuitError("MCBitmask needs at least one control")
+        if not self.targets:  # the text format has no spelling for an empty mask
+            raise CircuitError("MCBitmask needs at least one target")
         if len(self.mask) != len(self.targets):
             raise CircuitError(f"mask width {len(self.mask)} does not match "
                                f"target count {len(self.targets)}")

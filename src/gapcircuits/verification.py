@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .builders import (
     BuiltCircuit,
@@ -211,13 +212,6 @@ class GateCountReport:
     ok: bool
     notes: tuple[str, ...]
 
-    def totals(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for row in self.per_step.values():
-            for kind, count in row.items():
-                out[kind] = out.get(kind, 0) + count
-        return out
-
 
 def gate_accountant(built: BuiltCircuit) -> GateCountReport:
     """Compare actual per-step counts against the budgets; all must be <=."""
@@ -262,46 +256,61 @@ class VerifyResult:
         return (self.identity_ok and self.magnitude_ok and self.qubits_ok
                 and self.gates.ok and self.dense_ok is not False)
 
+    @cached_property
+    def rows(self) -> tuple[tuple[str | None, str | None, object], ...]:
+        """The report as (text label, dotted JSON path, value) rows, built once."""
+        oracle, outcome, gates = self.oracle, self.outcome, self.gates
+        rows = [
+            ("problem", "problem", self.problem),
+            ("mode", "mode", self.mode),
+            ("n", "n", self.n),
+            ("index_width", "r", self.r),
+            ("data_width", "d", self.d),
+            ("bound", "bound", self.bound),
+            ("oracle.solutions", "oracle.solutions", oracle.solutions),
+            ("oracle.total", "oracle.total", oracle.total),
+            ("oracle.gap", "oracle.gap", oracle.gap),
+            ("sim.signed_sum", "simulated.signed_sum", outcome.signed_sum),
+            ("sim.exponent", "simulated.exponent", outcome.exponent),
+            ("sim.branches", "simulated.branches", outcome.n_branches),
+            ("sim.accepted", "simulated.accepted", outcome.n_accepted),
+            ("sim.p_acc", "simulated.p_acc", str(outcome.p_acc)),
+            (None, "simulated.p_acc_float", float(outcome.p_acc)),
+            ("predicted.p_acc", "predicted.p_acc", str(self.predicted)),
+            (None, "predicted.p_acc_float", float(self.predicted)),
+            ("identity", "identity_ok", self.identity_ok),
+            ("magnitude", "magnitude_ok", self.magnitude_ok),
+            ("sign_flips", None, str(self.sign_flips)),
+            (None, "sign_flips", self.sign_flips),
+            ("qubits", None, f"{self.n_qubits} ({_text(self.qubits_ok)})"),
+            (None, "n_qubits", self.n_qubits),
+            (None, "qubits_ok", self.qubits_ok),
+            ("gates", "gates.ok", gates.ok),
+            (None, "gates.per_step", gates.per_step),
+            (None, "gates.bounds", gates.bounds),
+            (None, "gates.notes", list(gates.notes)),
+            *(("gates.note", None, note) for note in gates.notes),
+        ]
+        if self.dense_value is None:
+            rows.append((None, "dense", None))
+        else:
+            rows += [("dense.p_acc", "dense.p_acc", self.dense_value),
+                     (None, "dense.tolerance", DENSE_TOLERANCE),
+                     ("dense.agree", "dense.ok", self.dense_ok)]
+        rows.append(("overall", "ok", self.ok))
+        return tuple(rows)
+
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "mode": self.mode,
-            "n": self.n,
-            "r": self.r,
-            "d": self.d,
-            "bound": self.bound,
-            "oracle": {
-                "solutions": self.oracle.solutions,
-                "total": self.oracle.total,
-                "gap": self.oracle.gap,
-            },
-            "simulated": {
-                "signed_sum": self.outcome.signed_sum,
-                "exponent": self.outcome.exponent,
-                "branches": self.outcome.n_branches,
-                "accepted": self.outcome.n_accepted,
-                "p_acc": str(self.outcome.p_acc),
-                "p_acc_float": float(self.outcome.p_acc),
-            },
-            "predicted": {"p_acc": str(self.predicted), "p_acc_float": float(self.predicted)},
-            "identity_ok": self.identity_ok,
-            "magnitude_ok": self.magnitude_ok,
-            "sign_flips": self.sign_flips,
-            "n_qubits": self.n_qubits,
-            "qubits_ok": self.qubits_ok,
-            "gates": {
-                "ok": self.gates.ok,
-                "per_step": self.gates.per_step,
-                "bounds": self.gates.bounds,
-                "notes": list(self.gates.notes),
-            },
-            "dense": None if self.dense_value is None else {
-                "p_acc": self.dense_value,
-                "tolerance": DENSE_TOLERANCE,
-                "ok": self.dense_ok,
-            },
-            "ok": self.ok,
-        }
+        """The JSON form: the rows that have a path, nested at its one dot."""
+        out: dict = {}
+        for _, path, value in self.rows:
+            if path is not None:
+                head, dot, key = path.partition(".")
+                if dot:
+                    out.setdefault(head, {})[key] = value
+                else:
+                    out[head] = value
+        return out
 
 
 def verify_built(instance: Instance, built: BuiltCircuit, *, with_dense: bool = False,
@@ -346,34 +355,35 @@ def verify_instance(instance: Instance, mode: str = MODE_QRAM, *, with_dense: bo
                         branch_cap=branch_cap, jobs=jobs)
 
 
+# --- reports -----------------------------------------------------------------
+# A report is one ordered list of (text label, dotted JSON path, value) rows;
+# the text form prints the rows that have a label and the JSON form nests the
+# rows that have a path, so the two cannot drift apart.
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "pass" if value else "FAIL"
+    return "-" if value is None else str(value)
+
+
+def render_rows(rows) -> str:
+    """Flat `label: value` text of the labelled rows: a bool reads pass/FAIL, None -."""
+    return "\n".join([f"{label}: {_text(value)}" for label, _, value in rows if label is not None])
+
+
+def report_rows(report: dict, prefix: str = "") -> list[tuple[str, str, object]]:
+    """Rows of a nested dict, each labelled with its own dotted path."""
+    rows = []
+    for key, value in report.items():
+        path = prefix + key
+        if isinstance(value, dict):
+            rows += report_rows(value, path + ".")
+        else:
+            rows.append((path, path, value))
+    return rows
+
+
 def render_report(result: VerifyResult) -> str:
     """Flat `key: value` text rendering of one verification result."""
-    lines = [
-        f"problem: {result.problem}",
-        f"mode: {result.mode}",
-        f"n: {result.n}",
-        f"index_width: {result.r}",
-        f"data_width: {result.d}",
-        f"bound: {'-' if result.bound is None else result.bound}",
-        f"oracle.solutions: {result.oracle.solutions}",
-        f"oracle.total: {result.oracle.total}",
-        f"oracle.gap: {result.oracle.gap}",
-        f"sim.signed_sum: {result.outcome.signed_sum}",
-        f"sim.exponent: {result.outcome.exponent}",
-        f"sim.branches: {result.outcome.n_branches}",
-        f"sim.accepted: {result.outcome.n_accepted}",
-        f"sim.p_acc: {result.outcome.p_acc}",
-        f"predicted.p_acc: {result.predicted}",
-        f"identity: {'pass' if result.identity_ok else 'FAIL'}",
-        f"magnitude: {'pass' if result.magnitude_ok else 'FAIL'}",
-        f"sign_flips: {result.sign_flips}",
-        f"qubits: {result.n_qubits} ({'pass' if result.qubits_ok else 'FAIL'})",
-        f"gates: {'pass' if result.gates.ok else 'FAIL'}",
-    ]
-    for note in result.gates.notes:
-        lines.append(f"gates.note: {note}")
-    if result.dense_value is not None:
-        lines.append(f"dense.p_acc: {result.dense_value!r}")
-        lines.append(f"dense.agree: {'pass' if result.dense_ok else 'FAIL'}")
-    lines.append(f"overall: {'pass' if result.ok else 'FAIL'}")
-    return "\n".join(lines)
+    return render_rows(result.rows)

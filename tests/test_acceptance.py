@@ -44,7 +44,6 @@ from gapcircuits.cli import main as cli_main
 from gapcircuits.dataload import (
     DataTable,
     emit_loader_unitary,
-    emit_pair_loader_unitary,
     emit_qram_load,
 )
 from gapcircuits.instancefile import (
@@ -311,9 +310,9 @@ def test_criterion_09_loader_equivalence():
                                     ("data", data_width), ("anc", 1)])
                 circ.begin_step("load")
                 if explicit:
-                    emit_pair_loader_unitary(circ, table, circ.reg("i").qubits,
-                                             circ.reg("j").qubits,
-                                             circ.reg("data").qubits, circ.reg("anc")[0])
+                    emit_loader_unitary(circ, table,
+                                        circ.reg("i").qubits + circ.reg("j").qubits,
+                                        circ.reg("data").qubits, circ.reg("anc")[0])
                 else:
                     emit_qram_load(circ, table,
                                    circ.reg("i").qubits + circ.reg("j").qubits,

@@ -92,6 +92,52 @@ def test_simulate_json_report(tmp_path):
         float(Fraction(payload["pathsum"]["p_acc"])))
 
 
+SIMULATE_BOTH_TEXT = """\
+problem: ov
+mode: qram
+qubits: 16
+exponent: 17
+pathsum.signed_sum: -7
+pathsum.branches: 16
+pathsum.accepted: 9
+pathsum.p_acc: 49/131072
+pathsum.p_acc_float: 0.00037384033203125
+dense.p_acc: 0.00037384033203125027
+agree: pass
+"""
+
+SIMULATE_BOTH_JSON = """\
+{
+  "agree": true,
+  "dense": {
+    "p_acc": 0.00037384033203125027
+  },
+  "exponent": 17,
+  "mode": "qram",
+  "pathsum": {
+    "accepted": 9,
+    "branches": 16,
+    "p_acc": "49/131072",
+    "p_acc_float": 0.00037384033203125,
+    "signed_sum": -7
+  },
+  "problem": "ov",
+  "qubits": 16
+}
+"""
+
+
+def test_simulate_both_bytes_are_pinned(tmp_path, capsys):
+    # Only the ancilla is unmeasured and it ends at 0, so the dense sum has
+    # one nonzero term and its last digit does not depend on summation order.
+    inst = tmp_path / "inst.json"
+    report = tmp_path / "report.json"
+    main(["gen", "ov", "-n", "3", "-d", "2", "--seed", "4", "--out", str(inst)])
+    assert main(["simulate", str(inst), "--backend", "both", "--out", str(report)]) == 0
+    assert capsys.readouterr().out == SIMULATE_BOTH_TEXT
+    assert report.read_text() == SIMULATE_BOTH_JSON
+
+
 def test_dense_cap_exit(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     main(["gen", "nwt", "-n", "2", "--bound", "1", "--seed", "0", "--out", str(inst)])

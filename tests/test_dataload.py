@@ -9,7 +9,6 @@ from gapcircuits.dataload import (
     DataTable,
     emit_equality_flag,
     emit_loader_unitary,
-    emit_pair_loader_unitary,
     emit_qram_load,
     qram_semantics,
 )
@@ -86,8 +85,8 @@ def test_pair_loader_concatenates_addresses():
 
     circ = new_circuit([("x", 2), ("y", 2), ("data", 2), ("anc", 1)])
     circ.begin_step("load")
-    emit_pair_loader_unitary(circ, table, circ.reg("x").qubits, circ.reg("y").qubits,
-                             circ.reg("data").qubits, ancilla=circ.reg("anc")[0])
+    emit_loader_unitary(circ, table, circ.reg("x").qubits + circ.reg("y").qubits,
+                        circ.reg("data").qubits, ancilla=circ.reg("anc")[0])
     words = np.arange(1 << circ.n_qubits, dtype=np.int64)
     done, _ = apply_gates(circ, words)
     for word, dest in enumerate(done):
@@ -96,8 +95,8 @@ def test_pair_loader_concatenates_addresses():
         assert got == (((word >> 4) & 3) ^ ((a * b) % 4))
 
     with pytest.raises(CircuitError):
-        emit_pair_loader_unitary(circ, table, circ.reg("x").qubits, (0,),
-                                 circ.reg("data").qubits, ancilla=circ.reg("anc")[0])
+        emit_loader_unitary(circ, table, circ.reg("x").qubits + (0,),
+                            circ.reg("data").qubits, ancilla=circ.reg("anc")[0])
 
 
 def test_loader_wire_width_mismatch():

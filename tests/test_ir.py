@@ -98,6 +98,8 @@ def test_gate_operand_validation():
         circ.add(Toffoli(0, 0, 1))
     with pytest.raises(CircuitError):
         circ.add(MCBitmask((), BitString((1,)), (1,), 2))
+    with pytest.raises(CircuitError):  # no targets: text would write an empty mask
+        circ.add(MCBitmask((0,), BitString(()), (), 2))
     with pytest.raises(CircuitError):  # mask width must match target count
         circ.add(MCBitmask((0,), BitString((1, 0)), (1,), 2))
     with pytest.raises(CircuitError):  # control and target overlap
@@ -107,8 +109,9 @@ def test_gate_operand_validation():
     with pytest.raises(CircuitError):  # ancilla collides with a control
         circ.add(MCBitmask((0, 1), BitString((1, 1)), (2, 3), 0))
     circ.add(MCBitmask((0, 1), BitString((1, 1)), (2, 3), 4))
+    circ.add(MCBitmask((0,), BitString((0,)), (1,), 2))  # zero mask: identity
     circ.add(Z(0))
-    assert len(circ.gates) == 2
+    assert len(circ.gates) == 3
 
 
 def test_qram_gate_requires_registered_table():

@@ -1,6 +1,7 @@
 """Text round-trips for circuits and built-circuit files."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -35,15 +36,16 @@ def test_circuit_round_trip(make, args, mode):
     assert circuit_to_text(back) == text  # canonical form is a fixed point
 
 
-# First 16 hex digits of the sha256 of built_to_text and of render_report,
-# for each circuit of test_circuit_round_trip.
+# First 16 hex digits of the sha256 of built_to_text, of render_report and
+# of the sorted, indented JSON of to_dict, for each circuit of
+# test_circuit_round_trip.
 GOLDEN = {
-    ("ov", MODE_QRAM): ("1e23d81dc13bd227", "09e3c872d6c07b54"),
-    ("ov", MODE_EXPLICIT): ("9d24056fffc273b7", "18f6820015f2f9c6"),
-    ("3sum", MODE_QRAM): ("9cb06bdee3bc82cb", "2ed8e298064f1ee9"),
-    ("3sum", MODE_EXPLICIT): ("11089714b0d7c572", "2f46c7a3d0819f90"),
-    ("nwt", MODE_QRAM): ("9377a9268b486e1d", "fec65447963627bd"),
-    ("nwt", MODE_EXPLICIT): ("ce9f0971a5b55c10", "082f85fed90a6b9d"),
+    ("ov", MODE_QRAM): ("1e23d81dc13bd227", "09e3c872d6c07b54", "71eeefcc6c40c350"),
+    ("ov", MODE_EXPLICIT): ("9d24056fffc273b7", "18f6820015f2f9c6", "827475dba8825284"),
+    ("3sum", MODE_QRAM): ("9cb06bdee3bc82cb", "2ed8e298064f1ee9", "a07e5d7f0a471782"),
+    ("3sum", MODE_EXPLICIT): ("11089714b0d7c572", "2f46c7a3d0819f90", "e8f6746d8097134d"),
+    ("nwt", MODE_QRAM): ("9377a9268b486e1d", "fec65447963627bd", "7884ef71e205f4cb"),
+    ("nwt", MODE_EXPLICIT): ("ce9f0971a5b55c10", "082f85fed90a6b9d", "303ad247a5162340"),
 }
 
 
@@ -55,8 +57,10 @@ GOLDEN = {
 def test_text_and_report_bytes_are_pinned(problem, make, args, mode):
     instance = make(*args, seed=5)
     built = build_circuit(instance, mode)
-    digests = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in
-                    (built_to_text(built), render_report(verify_built(instance, built))))
+    result = verify_built(instance, built)
+    texts = (built_to_text(built), render_report(result),
+             json.dumps(result.to_dict(), sort_keys=True, indent=2))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in texts)
     assert digests == GOLDEN[problem, mode]
 
 
