@@ -44,25 +44,10 @@ class ArithLayout:
         return len(self.a)
 
 
-def _majority(circuit: Circuit, carry: int, b: int, a: int) -> None:
+def _majority(carry: int, b: int, a: int) -> tuple:
     # (carry, b, a) -> (carry^a, b^a, MAJ(a, b, carry)); the new carry rides on a.
-    circuit.add(CX(a, b))
-    circuit.add(CX(a, carry))
-    circuit.add(Toffoli(carry, b, a))
-
-
-def _unmajority_add(circuit: Circuit, carry: int, b: int, a: int) -> None:
-    # Inverts _majority, then writes the sum bit onto b.
-    circuit.add(Toffoli(carry, b, a))
-    circuit.add(CX(a, carry))
-    circuit.add(CX(carry, b))
-
-
-def _unmajority(circuit: Circuit, carry: int, b: int, a: int) -> None:
-    # Exact inverse of _majority: restores all three wires, no sum writeback.
-    circuit.add(Toffoli(carry, b, a))
-    circuit.add(CX(a, carry))
-    circuit.add(CX(a, b))
+    # Each gate is its own inverse, so the reversed gates undo it exactly.
+    return CX(a, b), CX(a, carry), Toffoli(carry, b, a)
 
 
 def _carry_chain(layout: ArithLayout, first: tuple[int, ...], second: tuple[int, ...]):
@@ -77,12 +62,15 @@ def emit_adder(circuit: Circuit, layout: ArithLayout) -> None:
 
     The ancilla is the carry-in and must be 0 for the sum to be a+b.
     """
-    stages = list(_carry_chain(layout, layout.b, layout.a))
-    for carry, b_m, a_m in stages:
-        _majority(circuit, carry, b_m, a_m)
-    circuit.add(CX(layout.a[-1], layout.out))
-    for carry, b_m, a_m in reversed(stages):
-        _unmajority_add(circuit, carry, b_m, a_m)
+    stages = [(carry, b_m, _majority(carry, b_m, a_m))
+              for carry, b_m, a_m in _carry_chain(layout, layout.b, layout.a)]
+    gates = [gate for _, _, majority in stages for gate in majority]
+    gates.append(CX(layout.a[-1], layout.out))
+    # Unmajority-add: undo the majority's Toffoli and carry CX, then write
+    # the sum bit onto b.
+    for carry, b_m, (_, to_carry, toffoli) in reversed(stages):
+        gates += (toffoli, to_carry, CX(carry, b_m))
+    circuit.extend(gates)
 
 
 def _emit_ripple_compare(circuit: Circuit, layout: ArithLayout, complemented: tuple[int, ...],
@@ -90,18 +78,12 @@ def _emit_ripple_compare(circuit: Circuit, layout: ArithLayout, complemented: tu
     # Computes the carry out of kept + ~complemented + 1 (two's-complement
     # subtraction kept - complemented) into layout.out, then uncomputes.
     # Carry-out 1 means kept >= complemented.
-    circuit.add(X(layout.ancilla))
-    for q in complemented:
-        circuit.add(X(q))
-    stages = list(_carry_chain(layout, complemented, kept))
-    for carry, c_m, k_m in stages:
-        _majority(circuit, carry, c_m, k_m)
-    circuit.add(CX(kept[-1], layout.out))
-    for carry, c_m, k_m in reversed(stages):
-        _unmajority(circuit, carry, c_m, k_m)
-    for q in complemented:
-        circuit.add(X(q))
-    circuit.add(X(layout.ancilla))
+    carry_in = X(layout.ancilla)
+    frame = [X(q) for q in complemented]
+    chain = [gate for carry, c_m, k_m in _carry_chain(layout, complemented, kept)
+             for gate in _majority(carry, c_m, k_m)]
+    circuit.extend([carry_in, *frame, *chain, CX(kept[-1], layout.out), *chain[::-1], *frame,
+                    carry_in])
 
 
 def emit_comparator_ge(circuit: Circuit, layout: ArithLayout) -> None:

@@ -304,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.problem in (PROBLEM_3SUM, PROBLEM_NWT) and args.bound is None:
             print(f"gen {args.problem} requires --bound", file=sys.stderr)
             return 2
+    if args.command == "sweep" and args.trials < 1:  # a sweep that checks nothing cannot pass
+        print(f"sweep --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -83,14 +83,13 @@ def emit_loader_unitary(circuit: Circuit, table: DataTable, address_qubits, data
             f"table {table.table_id!r} is {table.address_width}->{table.data_width} bits, "
             f"wires are {len(address_qubits)}->{len(data_qubits)}"
         )
+    gates = []
     for address, value in table.entries:
-        frame = [address_qubits[t] for t in range(table.address_width) if not (address >> t) & 1]
-        for q in frame:
-            circuit.add(X(q))
+        # The frame's gates are built once and replayed to undo it.
+        frame = [X(q) for t, q in enumerate(address_qubits) if not (address >> t) & 1]
         mask = BitString.from_int(value, table.data_width)
-        circuit.add(MCBitmask(address_qubits, mask, data_qubits, ancilla))
-        for q in frame:
-            circuit.add(X(q))
+        gates += (*frame, MCBitmask(address_qubits, mask, data_qubits, ancilla), *frame)
+    circuit.extend(gates)
 
 
 def emit_equality_flag(circuit: Circuit, qubits, pattern: BitString, flag: int,
@@ -103,9 +102,5 @@ def emit_equality_flag(circuit: Circuit, qubits, pattern: BitString, flag: int,
     qubits = tuple(qubits)
     if len(qubits) != pattern.width:
         raise CircuitError(f"pattern width {pattern.width} does not match {len(qubits)} qubits")
-    frame = [qubits[t] for t in range(pattern.width) if pattern[t] == 0]
-    for q in frame:
-        circuit.add(X(q))
-    circuit.add(MCBitmask(qubits, BitString((1,)), (flag,), ancilla))
-    for q in frame:
-        circuit.add(X(q))
+    frame = [X(q) for q, bit in zip(qubits, pattern.bits) if not bit]
+    circuit.extend([*frame, MCBitmask(qubits, BitString((1,)), (flag,), ancilla), *frame])

@@ -147,7 +147,8 @@ def _bit_vectors(payload: dict, key: str) -> tuple[BitString, ...]:
     rows = _require(payload, key, list)
     vectors = []
     for row in rows:
-        if not isinstance(row, list) or any(b not in (0, 1) for b in row):
+        # type(b) is int refuses JSON true/false, which would not be written back as bits.
+        if not isinstance(row, list) or any(type(b) is not int or b not in (0, 1) for b in row):
             raise InstanceError(f"field {key!r} must hold lists of 0/1 bits")
         vectors.append(BitString(tuple(row)))
     return tuple(vectors)

@@ -33,7 +33,10 @@ class BitString:
             raise CircuitError(f"negative width {width}")
         if value < 0 or value >> width:
             raise CircuitError(f"value {value} does not fit in {width} bits")
-        return cls(tuple((value >> j) & 1 for j in range(width)))
+        # The bits are 0/1 by construction, so __post_init__'s scan is skipped.
+        bits = object.__new__(cls)
+        object.__setattr__(bits, "bits", tuple([(value >> j) & 1 for j in range(width)]))
+        return bits
 
     def to_int(self) -> int:
         return sum(b << j for j, b in enumerate(self.bits))
@@ -219,7 +222,7 @@ class MCBitmask(_Gate):
                                f"target count {len(self.targets)}")
 
     def action(self) -> tuple:
-        return ("flip", self.controls, tuple(t for b, t in zip(self.mask, self.targets) if b))
+        return ("flip", self.controls, tuple([t for b, t in zip(self.mask.bits, self.targets) if b]))
 
     def text(self) -> str:
         wires = " ".join(map(str, (*self.controls, *self.targets)))
@@ -240,7 +243,7 @@ class MCBitmask(_Gate):
 
     def charge(self) -> tuple[str, int, int]:
         k = len(self.controls)
-        return "CCX", self.mask.popcount() * mcx_toffoli_cost(k), k
+        return "CCX", sum(self.mask.bits) * mcx_toffoli_cost(k), k
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,6 +294,8 @@ class QramLoad(_Gate):
 Gate = H | X | Z | CX | Toffoli | MCBitmask | QramLoad
 GATES: dict[str, type] = {cls.KEYWORD: cls for cls in Gate.__args__}
 VOCABULARY = frozenset(Gate.__args__)
+# The classes with rules beyond their wires; Circuit calls check() on these only.
+_CHECKED = frozenset(cls for cls in VOCABULARY if cls.check is not _Gate.check)
 
 
 def mcx_toffoli_cost(controls: int) -> int:
@@ -355,27 +360,55 @@ class Circuit:
         return tid
 
     def _check_qubit(self, q: int) -> None:
-        if not isinstance(q, int) or not 0 <= q < self.n_qubits:
+        # type(q) is int refuses bools, which the text format cannot read back.
+        if type(q) is not int or not 0 <= q < self.n_qubits:
             raise CircuitError(f"qubit index {q!r} out of range for {self.n_qubits}-qubit circuit")
+
+    def _check_gate(self, gate: Gate) -> None:
+        cls = type(gate)
+        if cls not in VOCABULARY:
+            raise CircuitError(f"unknown gate {gate!r}")
+        wires = gate.wires()
+        n = self.n_qubits
+        for q in wires:
+            if type(q) is not int or not 0 <= q < n:
+                self._check_qubit(q)  # raises; tested inline since this runs per gate
+        if len(wires) > 1 and len(set(wires)) != len(wires):
+            raise CircuitError(f"{cls.__name__} wires {wires} must differ")
+        if cls in _CHECKED:
+            gate.check(self)
 
     def add(self, gate: Gate) -> None:
         if not self._step:
             raise CircuitError("begin_step must be called before adding gates")
-        if type(gate) not in VOCABULARY:
-            raise CircuitError(f"unknown gate {gate!r}")
-        wires = gate.wires()
-        for q in wires:
-            if not isinstance(q, int) or not 0 <= q < self.n_qubits:
-                self._check_qubit(q)  # raises; tested inline since add runs per gate
-        if len(wires) > 1 and len(set(wires)) != len(wires):
-            raise CircuitError(f"{type(gate).__name__} wires {wires} must differ")
-        gate.check(self)
+        self._check_gate(gate)
         if gate.LEADING:
             if len(self.gates) != self.h_layer_size:
                 raise CircuitError("H gates are only allowed in the leading layer")
             self.h_layer_size += 1
         self.gates.append(gate)
         self.steps.append(self._step)
+
+    def extend(self, gates: list[Gate]) -> None:
+        """add() each gate in order, checking each distinct gate object once.
+
+        Gates are immutable and, H aside, their checks do not depend on
+        where they stand, so a gate listed again needs no second check, and
+        a block without H adds nothing when one of its gates is refused.  H
+        must lead, so a block that holds H is added gate by gate.
+        """
+        if not self._step:
+            raise CircuitError("begin_step must be called before adding gates")
+        leading = False
+        for gate in {id(gate): gate for gate in gates}.values():
+            self._check_gate(gate)
+            leading |= gate.LEADING
+        if leading:
+            for gate in gates:
+                self.add(gate)
+            return
+        self.gates += gates
+        self.steps += [self._step] * len(gates)
 
     def set_measurement(
         self,

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ir import VOCABULARY, Circuit, H
+from .ir import VOCABULARY, Circuit, H, QramLoad
 
 DENSE_CAP_DEFAULT = 22
 BRANCH_CAP_DEFAULT = 24
@@ -80,24 +80,29 @@ def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
     if circuit.n_qubits > _WORD_QUBIT_CAP:
         raise CapExceededError(
             f"{circuit.n_qubits} qubits exceed the {_WORD_QUBIT_CAP}-qubit word cap")
-    ops: list[tuple] = []
-    for gate in circuit.gates[start:]:
-        if type(gate) not in VOCABULARY:
-            raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
-        op = gate.action()
-        if op[0] == "h":
-            raise SimulationError("H is not a basis-state permutation")
+    gates = circuit.gates[start:]
+    kinds = set(map(type, gates))
+    if not VOCABULARY.issuperset(kinds):
+        gate = next(g for g in gates if type(g) not in VOCABULARY)
+        raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
+    if H in kinds:
+        raise SimulationError("H is not a basis-state permutation")
+    ops = [gate.action() for gate in gates]
+    if QramLoad not in kinds:
+        return ops
+    lowered = []
+    for op in ops:
         if op[0] == "qram":
             _, address, data, table_id = op
+            entries = np.array(circuit.tables[table_id].entries, dtype=np.int64).reshape(-1, 2)
             bits = np.zeros((len(data), 1 << len(address)), dtype=np.uint8)
-            for entry, value in circuit.tables[table_id].entries:
-                bits[:, entry] = [(value >> j) & 1 for j in range(len(data))]
+            bits[:, entries[:, 0]] = entries[:, 1] >> np.arange(len(data))[:, None] & 1
             kept = np.flatnonzero(bits.any(axis=1))
-            if len(kept):
-                ops.append(("qram", address, [data[j] for j in kept], bits[kept]))
-            continue
-        ops.append(op)
-    return ops
+            if not len(kept):
+                continue
+            op = ("qram", address, [data[j] for j in kept], bits[kept])
+        lowered.append(op)
+    return lowered
 
 
 def _pack(bits: np.ndarray) -> list[int]:

@@ -146,12 +146,17 @@ def tally_gates(circuit) -> dict[str, dict[str, int]]:
 
 def _tally(circuit) -> tuple[dict[str, dict[str, int]], bool]:
     """tally_gates, and whether any charged flip expands at most 3 controls."""
+    gates = circuit.gates
+    if not VOCABULARY.issuperset(map(type, gates)):
+        gate = next(g for g in gates if type(g) not in VOCABULARY)
+        raise InstanceError(f"unknown gate {gate!r}")
     per_step: dict[str, dict[str, int]] = {}
     small_control = False
-    for gate, step in zip(circuit.gates, circuit.steps):
-        if type(gate) not in VOCABULARY:
-            raise InstanceError(f"unknown gate {gate!r}")
-        row = per_step.setdefault(step, {})
+    current = row = None
+    for gate, step in zip(gates, circuit.steps):
+        if step is not current:  # a step's gates mostly come in one run
+            row = per_step.setdefault(step, {})
+            current = step
         kind, amount, controls = gate.charge()
         if amount:
             row[kind] = row.get(kind, 0) + amount

@@ -6,12 +6,16 @@ addresses.
 `reference_word` runs one basis word through the gates after the
 Hadamard layer, reading the IR gate fields directly, so it shares no
 lowering with either simulation backend.
+`reference_tally` charges the gates to the accountant one at a time.
 """
 
 from hypothesis import strategies as st
 
+from gapcircuits.builders import InstanceError
 from gapcircuits.dataload import DataTable
-from gapcircuits.ir import CX, BitString, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit
+from gapcircuits.ir import (
+    CX, VOCABULARY, BitString, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit,
+)
 
 KINDS = ("X", "Z", "CX", "Toffoli", "MCBitmask", "QramLoad")
 
@@ -83,3 +87,18 @@ def reference_word(circuit, word):
             for j, q in enumerate(gate.data):
                 word ^= ((value >> j) & 1) << q
     return word, sign
+
+
+def reference_tally(circuit):
+    """Per-step accountant rows and the small-control flag, one gate at a time."""
+    per_step = {}
+    small_control = False
+    for gate, step in zip(circuit.gates, circuit.steps):
+        if type(gate) not in VOCABULARY:
+            raise InstanceError(f"unknown gate {gate!r}")
+        row = per_step.setdefault(step, {})
+        kind, amount, controls = gate.charge()
+        if amount:
+            row[kind] = row.get(kind, 0) + amount
+            small_control |= 0 < controls <= 3
+    return per_step, small_control

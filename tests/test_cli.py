@@ -188,6 +188,14 @@ def test_sweep_clean_run(tmp_path, capsys):
     assert p1 == p2
 
 
+def test_sweep_refuses_no_trials(capsys):
+    for trials in ("0", "-1"):  # a sweep that checks nothing must not pass
+        assert main(["sweep", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert captured.out == ""
+
+
 def test_sweep_jobs_equivalence(tmp_path):
     out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
     assert main(["sweep", "--problem", "3sum", "--trials", "1", "--out", str(out1)]) == 0

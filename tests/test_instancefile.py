@@ -83,6 +83,10 @@ def test_wrong_types_rejected():
     payload["edges"] = [[1, 2]]
     with pytest.raises(InstanceError):
         instance_from_dict(payload)
+    payload = instance_to_dict(EXAMPLES[0])
+    payload["u"] = [[True, 0], [0, 1]]  # bools are not bits: the file would not be canonical
+    with pytest.raises(InstanceError):
+        instance_from_dict(payload)
     with pytest.raises(InstanceError):
         instance_from_text("[1, 2]")
     with pytest.raises(InstanceError):

@@ -76,10 +76,32 @@ def test_h_only_in_leading_layer():
         circ.add(H(2))
 
 
+def test_extend_matches_add_per_gate():
+    # extend checks each distinct gate object once; it must build what add builds
+    x, toffoli = X(0), Toffoli(0, 1, 2)
+    blocks = {"1": [H(0), H(1)], "2": [x, toffoli, x, CX(2, 3), toffoli, x]}
+    by_add, by_extend = new_circuit([("q", 4)]), new_circuit([("q", 4)])
+    for step, block in blocks.items():
+        by_add.begin_step(step)
+        for gate in block:
+            by_add.add(gate)
+        by_extend.begin_step(step)
+        by_extend.extend(block)
+    assert by_extend.h_layer_size == by_add.h_layer_size == 2
+    assert (by_extend.gates, by_extend.steps) == (by_add.gates, by_add.steps)
+    # a refused gate, listed once or again, keeps its whole block out
+    for block in ([x, X(4), x], [x, CX(1, 1), x], [X(True), x], [H(3), x], [x, "X 1"]):
+        with pytest.raises(CircuitError):
+            by_extend.extend(block)
+    assert (by_extend.gates, by_extend.steps) == (by_add.gates, by_add.steps)
+
+
 def test_begin_step_required_and_validated():
     circ = new_circuit([("q", 1)])
     with pytest.raises(CircuitError):
         circ.add(X(0))
+    with pytest.raises(CircuitError):
+        circ.extend([X(0)])
     with pytest.raises(CircuitError):
         circ.begin_step("bad step")
     circ.begin_step("1")
@@ -92,6 +114,10 @@ def test_gate_operand_validation():
     circ.begin_step("1")
     with pytest.raises(CircuitError):
         circ.add(X(5))
+    with pytest.raises(CircuitError):  # a bool wire would be written as "True"
+        circ.add(X(True))
+    with pytest.raises(CircuitError):
+        circ.add(CX(0, True))
     with pytest.raises(CircuitError):
         circ.add(CX(1, 1))
     with pytest.raises(CircuitError):
@@ -140,6 +166,8 @@ def test_measurement_plan_must_partition():
         circ.set_measurement((0,), (1,), ())
     with pytest.raises(CircuitError):
         circ.set_measurement((0, 0), (1,), (2,))
+    with pytest.raises(CircuitError):  # True would stand in for qubit 1
+        circ.set_measurement((True,), (0,), (2,))
 
 
 def test_mcx_toffoli_cost_schedule():

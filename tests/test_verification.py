@@ -4,10 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapcircuits.builders import (
     MODE_EXPLICIT,
     MODE_QRAM,
+    InstanceError,
     NwtInstance,
     OVInstance,
     ThreeSumInstance,
@@ -17,6 +20,7 @@ from gapcircuits.instancefile import generate_nwt, generate_ov, generate_threesu
 from gapcircuits.ir import BitString, MCBitmask, Z, new_circuit
 from gapcircuits.simulator import SimOutcome, simulate_pathsum
 from gapcircuits.verification import (
+    _tally,
     dense_agrees,
     gate_accountant,
     oracle_counts,
@@ -30,6 +34,7 @@ from gapcircuits.verification import (
     verify_built,
     verify_instance,
 )
+from reference_interpreter import random_circuit, reference_tally
 
 OV_EXAMPLE = OVInstance(u=(BitString((1,)), BitString((0,))),
                         v=(BitString((1,)), BitString((0,))))
@@ -146,6 +151,36 @@ def test_tally_buckets_mcbitmask_into_ccx():
     # 1-control masks are plain CXs but stay in the CCX bucket for bound checks
     circ.add(MCBitmask((0,), BitString((1,)), (4,), ancilla=6))
     assert tally_gates(circ)["s"]["CCX"] == 17
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tally_matches_reference(data):
+    circuit = random_circuit(data, data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3)))
+    circuit.add(MCBitmask((0,), BitString((0, 0)), (1, 2), 3))  # charges 0
+    # equal labels need not be one object, as when a circuit is read from text
+    label = st.sampled_from(["s1", "s2", "s3"]).flatmap(
+        lambda s: st.sampled_from([s, s[:1] + s[1:]]))
+    labels = st.lists(label, min_size=len(circuit.gates) - 1, max_size=len(circuit.gates) - 1)
+    circuit.steps[:] = [*data.draw(labels), "zero"]
+    expected, small_control = reference_tally(circuit)
+    per_step, flag = _tally(circuit)
+    assert per_step["zero"] == {}  # a step whose gates all charge 0 keeps its row
+    assert flag == small_control
+    assert tally_gates(circuit) == per_step == expected
+    # dict equality ignores order; the report's rows must keep it
+    assert [(step, list(row.items())) for step, row in per_step.items()] == \
+        [(step, list(row.items())) for step, row in expected.items()]
+
+
+def test_tally_refuses_foreign_gates():
+    circ = new_circuit([("q", 2)])
+    circ.begin_step("s")
+    circ.add(Z(0))
+    circ.gates.append("Z 1")  # bypasses Circuit.add
+    circ.steps.append("s")
+    with pytest.raises(InstanceError, match="unknown gate"):
+        tally_gates(circ)
 
 
 def test_step_bounds_table_spot_checks():
