@@ -31,7 +31,6 @@ from .ir import BitString, Circuit, H, Toffoli, X, Z, new_circuit
 PROBLEM_OV = "ov"
 PROBLEM_3SUM = "3sum"
 PROBLEM_NWT = "nwt"
-PROBLEMS = (PROBLEM_OV, PROBLEM_3SUM, PROBLEM_NWT)
 
 MODE_QRAM = "qram"
 MODE_EXPLICIT = "explicit"
@@ -196,6 +195,17 @@ def qubit_formula(problem: str, r: int, d: int) -> int:
     raise InstanceError(f"unknown problem {problem!r}")
 
 
+def hadamard_count(instance: Instance) -> int:
+    """Leading Hadamards of the instance's circuit in either mode, so log2 of
+    its path-sum branches: r per index register, two registers for ov and
+    three for 3sum and nwt."""
+    if isinstance(instance, OVInstance):
+        return 2 * derive_index_width(instance.n)
+    if isinstance(instance, (ThreeSumInstance, NwtInstance)):
+        return 3 * derive_index_width(instance.n)
+    raise InstanceError(f"unknown instance type {type(instance).__name__}")
+
+
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise InstanceError(f"mode must be one of {MODES}, got {mode!r}")
@@ -220,7 +230,7 @@ def _emit_range_checks(circuit: Circuit, index_regs, nmax_reg, flags_reg, ancill
         emit_comparator_gt(circuit, layout)
 
 
-def _finish(circuit: Circuit, built: BuiltCircuit) -> BuiltCircuit:
+def _finish(instance: Instance, circuit: Circuit, built: BuiltCircuit) -> BuiltCircuit:
     plan = circuit.measurement
     assert plan is not None
     k = circuit.h_layer_size + len(plan.x_qubits)
@@ -231,6 +241,8 @@ def _finish(circuit: Circuit, built: BuiltCircuit) -> BuiltCircuit:
         )
     if circuit.n_qubits != qubit_formula(built.problem, built.r, built.d):
         raise AssertionError("qubit count does not match the closed formula")
+    if circuit.h_layer_size != hadamard_count(instance):
+        raise AssertionError("Hadamard count does not match the closed formula")
     return built
 
 
@@ -276,7 +288,7 @@ def build_ov_circuit(instance: OVInstance, mode: str = MODE_QRAM) -> BuiltCircui
     circuit.add(Z(regs["hit"][0]))
 
     _measure_flags_rest_x(circuit, regs["flags"], anc)
-    return _finish(circuit, BuiltCircuit(
+    return _finish(instance, circuit, BuiltCircuit(
         circuit, PROBLEM_OV, mode, n, r, d, None, denom_exponent(PROBLEM_OV, r, d)))
 
 
@@ -328,7 +340,7 @@ def build_threesum_circuit(instance: ThreeSumInstance, mode: str = MODE_QRAM) ->
     circuit.add(Z(regs["hit"][0]))
 
     _measure_flags_rest_x(circuit, regs["flags"], anc)
-    return _finish(circuit, BuiltCircuit(
+    return _finish(instance, circuit, BuiltCircuit(
         circuit, PROBLEM_3SUM, mode, n, r, d, bound, denom_exponent(PROBLEM_3SUM, r, d)))
 
 
@@ -399,7 +411,7 @@ def build_nwt_circuit(instance: NwtInstance, mode: str = MODE_QRAM) -> BuiltCirc
     circuit.add(Z(regs["hit"][0]))
 
     _measure_flags_rest_x(circuit, regs["flags"], anc)
-    return _finish(circuit, BuiltCircuit(
+    return _finish(instance, circuit, BuiltCircuit(
         circuit, PROBLEM_NWT, mode, n, r, d, bound, denom_exponent(PROBLEM_NWT, r, d)))
 
 

@@ -154,19 +154,18 @@ def _apply_columns(ops: list[tuple], cols: list[int], full: int) -> int:
     return sign
 
 
-def apply_gates(circuit: Circuit, words: np.ndarray, signs: np.ndarray | None = None,
-                *, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate packed basis words (int64) through gates[start:], in place.
+def apply_gates(circuit: Circuit, words: np.ndarray,
+                signs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate packed basis words (int64) through the circuit's gates, in place.
 
     Word bit q holds qubit q.  The words are transposed into columns, run
     through the path-sum kernel, and transposed back; each sign is negated
     once per phase flip its branch meets.  Only permutation gates are
-    allowed in the slice; an H raises.  Returns the same arrays for
-    convenience.
+    allowed; an H raises.  Returns the same arrays for convenience.
     """
     if signs is None:
         signs = np.ones(len(words), dtype=np.int64)
-    ops = _compile_ops(circuit, start=start)
+    ops = _compile_ops(circuit)
     count, qubits = len(words), np.arange(circuit.n_qubits, dtype=np.int64)[:, None]
     cols = _pack(((words >> qubits) & 1).astype(np.uint8))
     flips = _apply_columns(ops, cols, (1 << count) - 1)
@@ -204,6 +203,12 @@ def _branch_columns(lo: int, hi: int, h: int) -> list[int]:
     return cols
 
 
+def check_branch_cap(h: int, branch_cap: int) -> None:
+    """Refuse 2^h branches above the 2^branch_cap cap."""
+    if h > branch_cap:
+        raise CapExceededError(f"2^{h} branches exceed the 2^{branch_cap} branch cap")
+
+
 def _h_prefix(circuit: Circuit) -> tuple[int, ...]:
     h = circuit.h_layer_size
     prefix = circuit.gates[:h]
@@ -229,8 +234,7 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
         raise SimulationError("circuit has no measurement plan")
     h_targets = _h_prefix(circuit)
     h = len(h_targets)
-    if h > branch_cap:
-        raise CapExceededError(f"2^{h} branches exceed the 2^{branch_cap} branch cap")
+    check_branch_cap(h, branch_cap)
     ops = _compile_ops(circuit, start=h)
 
     def run_chunk(lo: int, hi: int) -> tuple[int, int, tuple[bool, ...] | None]:

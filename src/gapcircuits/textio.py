@@ -16,20 +16,34 @@ Grammar (one directive per line; `#` starts a comment; blank lines ignored):
 `maskbits` is a 0/1 string written low bit first; qubit lists are
 little-endian (first qubit = low bit); each gate class in `ir.py` reads and
 writes its own operands.  Gates appear in execution order and keep their
-step tags, so parsing rebuilds an equal circuit.
+step tags, so parsing rebuilds an equal circuit.  The circuit, register,
+table and row lines precede the first gate line, so one pass over the lines
+checks each gate through `Circuit.add` as it reads it; every refusal caused
+by a line starts with `line N:`.
 
-A built circuit adds a parameter header in front of the same body:
-
-    problem ov|3sum|nwt
-    mode qram|explicit
-    n / index_width / data_width / bound / exponent  (one `<key> <value>` each)
+A built circuit puts one `<key> <value>` line per row of `_HEADER` in front
+of the same body; they are read only before the first other directive.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .builders import BuiltCircuit
 from .dataload import DataTable
-from .ir import GATES, VOCABULARY, Circuit, CircuitError, new_circuit
+from .ir import GATES, VOCABULARY, Circuit, CircuitError, _int, new_circuit
+
+
+def _optional_int(token: str) -> int | None:
+    return None if token == "-" else _int(token)
+
+
+# The built-circuit header in file order: key, BuiltCircuit field, value
+# parser.  A bound of None is written `-`.
+_HEADER = (("problem", "problem", str), ("mode", "mode", str), ("n", "n", _int),
+           ("index_width", "r", _int), ("data_width", "d", _int),
+           ("bound", "bound", _optional_int), ("exponent", "denom_exponent", _int))
+_HEADER_KEYS = {key: (name, parse) for key, name, parse in _HEADER}
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -53,70 +67,9 @@ def circuit_to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tokenize(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise CircuitError(f"line {lineno}: expected integer, got {token!r}") from None
-
-
-def circuit_from_text(text: str) -> Circuit:
-    """Parse the format written by circuit_to_text; raises CircuitError on any deviation."""
-    n_qubits: int | None = None
-    layout: list[tuple[str, int]] = []
-    offsets: list[int] = []
-    measure: dict[str, tuple[int, ...]] = {}
-    tables: list[DataTable] = []
-    pending_rows: list[tuple[int, int]] = []
-    pending_table: tuple[str, int, int] | None = None
-    gate_lines: list[tuple[int, list[str]]] = []
-
-    def flush_table() -> None:
-        nonlocal pending_table, pending_rows
-        if pending_table is not None:
-            tid, aw, dw = pending_table
-            tables.append(DataTable(tid, aw, dw, tuple(pending_rows)))
-        pending_table, pending_rows = None, []
-
-    for lineno, tokens in _tokenize(text):
-        word = tokens[0]
-        if word == "circuit":
-            if n_qubits is not None or len(tokens) != 2:
-                raise CircuitError(f"line {lineno}: malformed or repeated circuit line")
-            n_qubits = _parse_int(tokens[1], lineno)
-        elif word == "register":
-            if len(tokens) != 4:
-                raise CircuitError(f"line {lineno}: register needs name, offset, width")
-            layout.append((tokens[1], _parse_int(tokens[3], lineno)))
-            offsets.append(_parse_int(tokens[2], lineno))
-        elif word == "measure":
-            if len(tokens) < 2 or tokens[1] not in ("z", "x", "none"):
-                raise CircuitError(f"line {lineno}: measure needs group z, x, or none")
-            if tokens[1] in measure:
-                raise CircuitError(f"line {lineno}: repeated measure group {tokens[1]!r}")
-            measure[tokens[1]] = tuple(_parse_int(t, lineno) for t in tokens[2:])
-        elif word == "table":
-            flush_table()
-            if len(tokens) != 4:
-                raise CircuitError(f"line {lineno}: table needs id and two widths")
-            pending_table = (tokens[1], _parse_int(tokens[2], lineno), _parse_int(tokens[3], lineno))
-        elif word == "row":
-            if pending_table is None or len(tokens) != 3:
-                raise CircuitError(f"line {lineno}: row outside a table or malformed")
-            pending_rows.append((_parse_int(tokens[1], lineno), _parse_int(tokens[2], lineno)))
-        elif word == "gate":
-            gate_lines.append((lineno, tokens))
-        else:
-            raise CircuitError(f"line {lineno}: unknown directive {word!r}")
-    flush_table()
-
+def _layout(n_qubits: int | None, layout: list[tuple[str, int]], offsets: list[int],
+            tables: list[tuple[DataTable, dict[int, int]]]) -> Circuit:
+    """The circuit that the circuit, register, table and row lines declare."""
     if n_qubits is None:
         raise CircuitError("missing circuit line")
     circuit = new_circuit(layout)
@@ -125,74 +78,111 @@ def circuit_from_text(text: str) -> Circuit:
     for (name, _), offset in zip(layout, offsets):
         if circuit.registers[name].offset != offset:
             raise CircuitError(f"register {name!r} offset {offset} is not contiguous")
-    for table in tables:
-        circuit.add_table(table)
+    for table, rows in tables:
+        circuit.add_table(replace(table, entries=tuple(rows.items())))
+    return circuit
 
-    for lineno, tokens in gate_lines:
-        if len(tokens) < 4:
-            raise CircuitError(f"line {lineno}: malformed gate line")
-        _, step, kind, *rest = tokens
-        circuit.begin_step(step)
-        cls = GATES.get(kind)
-        if cls is None:
-            raise CircuitError(f"line {lineno}: unknown gate kind {kind!r}")
-        try:
-            gate = cls.from_tokens(rest)
-        except CircuitError as err:
-            raise CircuitError(f"line {lineno}: {err}") from None
-        circuit.add(gate)
 
+def _parse(text: str, header: dict | None) -> Circuit:
+    """Read circuit text in one pass over its lines.
+
+    With a `header` dict, the built-circuit header lines that precede the
+    first other directive are read into it, keyed by BuiltCircuit field.
+    """
+    keys = _HEADER_KEYS if header is not None else {}
+    n_qubits = circuit = step = rows = None
+    layout: list[tuple[str, int]] = []
+    offsets: list[int] = []
+    measure: dict[str, tuple[int, ...]] = {}
+    tables: list[tuple[DataTable, dict[int, int]]] = []
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:  # blanks and comments never end the header block
+                continue
+            word = tokens[0]
+            if keys:
+                if word in keys:
+                    name, parse = keys[word]
+                    if len(tokens) != 2 or name in header:
+                        raise CircuitError(f"malformed built-circuit header line {raw!r}")
+                    header[name] = parse(tokens[1])
+                    continue
+                keys = {}
+            if word == "gate":
+                if len(tokens) < 4:
+                    raise CircuitError("malformed gate line")
+                if circuit is None:
+                    circuit, rows = _layout(n_qubits, layout, offsets, tables), None
+                cls = GATES.get(tokens[2])
+                if cls is None:
+                    raise CircuitError(f"unknown gate kind {tokens[2]!r}")
+                if tokens[1] != step:
+                    step = tokens[1]
+                    circuit.begin_step(step)
+                circuit.add(cls.from_tokens(tokens[3:]))
+            elif circuit is not None and word in ("register", "table"):
+                raise CircuitError(f"{word} line after the first gate line")
+            elif word == "circuit":
+                if n_qubits is not None or len(tokens) != 2:
+                    raise CircuitError("malformed or repeated circuit line")
+                n_qubits = _int(tokens[1])
+            elif word == "register":
+                if len(tokens) != 4:
+                    raise CircuitError("register needs name, offset, width")
+                layout.append((tokens[1], _int(tokens[3])))
+                offsets.append(_int(tokens[2]))
+            elif word == "measure":
+                if len(tokens) < 2 or tokens[1] not in ("z", "x", "none"):
+                    raise CircuitError("measure needs group z, x, or none")
+                if tokens[1] in measure:
+                    raise CircuitError(f"repeated measure group {tokens[1]!r}")
+                measure[tokens[1]] = tuple(map(_int, tokens[2:]))
+            elif word == "table":
+                if len(tokens) != 4:
+                    raise CircuitError("table needs id and two widths")
+                table, rows = DataTable(tokens[1], _int(tokens[2]), _int(tokens[3]), ()), {}
+                tables.append((table, rows))
+            elif word == "row":
+                if rows is None or len(tokens) != 3:
+                    raise CircuitError("row outside a table or malformed")
+                address, value = _int(tokens[1]), _int(tokens[2])
+                replace(table, entries=((address, value),))  # DataTable checks the entry
+                if address in rows:
+                    raise CircuitError(f"duplicate address {address}")
+                rows[address] = value
+            else:
+                raise CircuitError(f"unknown directive {word!r}")
+    except CircuitError as err:
+        raise CircuitError(f"line {lineno}: {err}") from None
+    if circuit is None:
+        circuit = _layout(n_qubits, layout, offsets, tables)
     if measure:
         circuit.set_measurement(measure.get("z", ()), measure.get("x", ()), measure.get("none", ()))
     return circuit
 
 
-_BUILT_KEYS = ("problem", "mode", "n", "index_width", "data_width", "bound", "exponent")
+def circuit_from_text(text: str) -> Circuit:
+    """Parse the format written by circuit_to_text; raises CircuitError on any deviation."""
+    return _parse(text, None)
 
 
 def built_to_text(built: BuiltCircuit) -> str:
-    header = [
-        f"problem {built.problem}",
-        f"mode {built.mode}",
-        f"n {built.n}",
-        f"index_width {built.r}",
-        f"data_width {built.d}",
-        f"bound {'-' if built.bound is None else built.bound}",
-        f"exponent {built.denom_exponent}",
-    ]
-    return "\n".join(header) + "\n" + circuit_to_text(built.circuit)
+    header = ""
+    for key, name, _ in _HEADER:
+        value = getattr(built, name)
+        header += f"{key} {'-' if value is None else value}\n"
+    return header + circuit_to_text(built.circuit)
 
 
 def built_from_text(text: str) -> BuiltCircuit:
-    header: dict[str, str] = {}
-    body_lines: list[str] = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        tokens = stripped.split()
-        if not tokens:  # blanks and comments never end the header block
-            if body_lines:
-                body_lines.append(raw)
-            continue
-        if body_lines or tokens[0] not in _BUILT_KEYS:
-            body_lines.append(raw)
-            continue
-        if len(tokens) != 2 or tokens[0] in header:
-            raise CircuitError(f"malformed built-circuit header line {raw!r}")
-        header[tokens[0]] = tokens[1]
-    missing = [k for k in _BUILT_KEYS if k not in header]
+    header: dict = {}
+    circuit = _parse(text, header)
+    missing = [key for key, name, _ in _HEADER if name not in header]
     if missing:
         raise CircuitError(f"built-circuit header is missing {missing}")
-    circuit = circuit_from_text("\n".join(body_lines))
-    built = BuiltCircuit(
-        circuit=circuit,
-        problem=header["problem"],
-        mode=header["mode"],
-        n=int(header["n"]),
-        r=int(header["index_width"]),
-        d=int(header["data_width"]),
-        bound=None if header["bound"] == "-" else int(header["bound"]),
-        denom_exponent=int(header["exponent"]),
-    )
+    built = BuiltCircuit(circuit, **header)
     plan = circuit.measurement
     if plan is None or built.denom_exponent != circuit.h_layer_size + len(plan.x_qubits):
         raise CircuitError("built-circuit header is inconsistent with the circuit body")

@@ -27,6 +27,7 @@ from .builders import (
     ThreeSumInstance,
     build_circuit,
     denom_exponent,
+    hadamard_count,
     qubit_formula,
     PROBLEM_3SUM,
     PROBLEM_NWT,
@@ -38,6 +39,7 @@ from .simulator import (
     BRANCH_CAP_DEFAULT,
     DENSE_CAP_DEFAULT,
     SimOutcome,
+    check_branch_cap,
     dense_acceptance,
     simulate_dense,
     simulate_pathsum,
@@ -354,7 +356,12 @@ def verify_built(instance: Instance, built: BuiltCircuit, *, with_dense: bool = 
 def verify_instance(instance: Instance, mode: str = MODE_QRAM, *, with_dense: bool = False,
                     dense_cap: int = DENSE_CAP_DEFAULT, branch_cap: int = BRANCH_CAP_DEFAULT,
                     jobs: int = 1) -> VerifyResult:
-    """Build one mode of the instance's circuit and verify it."""
+    """Build one mode of the instance's circuit and verify it.
+
+    The branch cap is checked before the build, from the closed-form
+    Hadamard count: an nwt weight table alone has 4^r entries.
+    """
+    check_branch_cap(hadamard_count(instance), branch_cap)
     built = build_circuit(instance, mode)
     return verify_built(instance, built, with_dense=with_dense, dense_cap=dense_cap,
                         branch_cap=branch_cap, jobs=jobs)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gapcircuits import cli
+from gapcircuits import cli, verification
 from gapcircuits.cli import main
 from gapcircuits.textio import built_from_text
 from gapcircuits.verification import verify_built
@@ -148,6 +148,32 @@ def test_dense_cap_exit(tmp_path, capsys):
     main(["gen", "ov", "-n", "3", "-d", "2", "--seed", "0", "--out", str(inst)])
     assert main(["simulate", str(inst), "--backend", "dense", "--dense-cap", "15"]) == 3
     assert main(["simulate", str(inst), "--backend", "dense", "--dense-cap", "16"]) == 0
+
+
+def test_simulate_malformed_header_integer_exits_2(tmp_path, capsys):
+    inst, circ = tmp_path / "inst.json", tmp_path / "circ.txt"
+    main(["gen", "ov", "-n", "2", "-d", "1", "--seed", "0", "--out", str(inst)])
+    main(["build", str(inst), "--out", str(circ)])
+    text = circ.read_text()
+    assert "\nn 2\n" in text
+    circ.write_text(text.replace("\nn 2\n", "\nn abc\n"))
+    assert main(["simulate", str(circ)]) == 2
+    assert "error: line 3: expected integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_verify_refuses_branch_cap_before_building(tmp_path, monkeypatch, capsys):
+    # r = 11, so 2^33 branches; building would first fill a 2^22-entry table
+    inst = tmp_path / "nwt.json"
+    inst.write_text('{"schema": "gap-instance-v1", "problem": "nwt", "n": 1100, '
+                    '"weight_bound": 1, "edges": []}')
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the branch cap was checked")
+
+    monkeypatch.setattr(verification, "build_circuit", refuse)
+    assert main(["verify", str(inst)]) == 3
+    assert main(["verify", str(inst), "--mode", "explicit"]) == 3
+    assert "2^33 branches exceed the 2^24 branch cap" in capsys.readouterr().err
 
 
 def test_verify_report_and_determinism(tmp_path, capsys):

@@ -34,6 +34,7 @@ def test_circuit_round_trip(make, args, mode):
     assert back.measurement == built.circuit.measurement
     assert back.h_layer_size == built.circuit.h_layer_size
     assert circuit_to_text(back) == text  # canonical form is a fixed point
+    assert built_from_text(built_to_text(built)) == built
 
 
 # First 16 hex digits of the sha256 of built_to_text, of render_report and
@@ -89,6 +90,13 @@ def test_bound_header_dash_means_none():
     ("circuit 2\nregister a 0 2\ngate 1 CX 0 0\n", "must differ"),
     ("circuit 2\nregister a 0 2\nmeasure z 0\nmeasure z 1\n", "repeated measure"),
     ("circuit 2\nregister a 0 2\ngate 1 QRAM t 1 0 1 1\n", "unregistered table"),
+    # refusals from Circuit.add and from tables name their line too
+    ("circuit 2\nregister a 0 2\ngate 1 X 9\n", "line 3: qubit index 9 out of range"),
+    ("circuit 2\nregister a 0 2\ngate 1 X 0\ngate 1 H 1\n", "line 4: h gates are only allowed"),
+    ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 0 1\nrow 5 0\n", "line 5: address 5 out of range"),
+    ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 1 1\n\nrow 1 0\n", "line 6: duplicate address"),
+    ("circuit 2\nregister a 0 2\ntable t 0 1\n", "line 3: table widths must be positive"),
+    ("circuit 2\nregister a 0 2\ngate 1 X 0\nregister b 2 1\n", "line 4: register line after"),
 ])
 def test_malformed_text_rejected(bad, fragment):
     with pytest.raises(CircuitError) as err:
@@ -111,3 +119,26 @@ def test_comments_and_blank_lines_ignored():
     text = built_to_text(built)
     noisy = "# header comment\n\n" + text.replace("\nmode", "\n# note\nmode", 1)
     assert built_from_text(noisy).circuit.gates == built.circuit.gates
+
+
+def test_built_header_values_name_their_line():
+    text = built_to_text(build_circuit(generate_ov(2, 1, seed=1), MODE_QRAM))
+    for bad in ("n abc", "bound x", "exponent 1.5"):
+        lines = text.splitlines()
+        index = next(i for i, line in enumerate(lines) if line.split()[0] == bad.split()[0])
+        lines[index] = bad
+        with pytest.raises(CircuitError) as err:
+            built_from_text("\n".join(lines))
+        assert str(err.value).startswith(f"line {index + 1}: expected integer")
+
+
+def test_built_header_read_only_before_the_body():
+    text = built_to_text(build_circuit(generate_ov(2, 1, seed=1), MODE_QRAM))
+    header, body = text.split("circuit ", 1)
+    moved = header.replace("mode qram\n", "") + "circuit " + body + "mode qram\n"
+    with pytest.raises(CircuitError) as err:
+        built_from_text(moved)
+    assert "unknown directive 'mode'" in str(err.value)
+    with pytest.raises(CircuitError) as err:
+        built_from_text(text.replace("mode qram\n", "mode qram\nmode qram\n"))
+    assert str(err.value).startswith("line 3: malformed built-circuit header line")
