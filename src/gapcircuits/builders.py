@@ -206,6 +206,19 @@ def hadamard_count(instance: Instance) -> int:
     raise InstanceError(f"unknown instance type {type(instance).__name__}")
 
 
+def instance_qubits(instance: Instance) -> int:
+    """qubit_formula for the instance's circuit in either mode, without building it."""
+    if isinstance(instance, OVInstance):
+        return qubit_formula(PROBLEM_OV, derive_index_width(instance.n), instance.d)
+    if isinstance(instance, ThreeSumInstance):
+        return qubit_formula(PROBLEM_3SUM, derive_index_width(instance.n),
+                             derive_sum_width(instance.bound))
+    if isinstance(instance, NwtInstance):
+        return qubit_formula(PROBLEM_NWT, derive_index_width(instance.n),
+                             derive_weight_width(instance.weight_bound))
+    raise InstanceError(f"unknown instance type {type(instance).__name__}")
+
+
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise InstanceError(f"mode must be one of {MODES}, got {mode!r}")

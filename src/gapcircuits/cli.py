@@ -33,6 +33,8 @@ from .builders import (
     PROBLEM_NWT,
     PROBLEM_OV,
     build_circuit,
+    hadamard_count,
+    instance_qubits,
 )
 from .instancefile import (
     BUDGETS,
@@ -48,6 +50,8 @@ from .simulator import (
     CapExceededError,
     DENSE_CAP_DEFAULT,
     SimulationError,
+    check_branch_cap,
+    check_dense_cap,
     dense_acceptance,
     simulate_dense,
     simulate_pathsum,
@@ -97,19 +101,28 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_circuit_arg(path: str, mode: str):
-    """A circuit argument is instance JSON or built-circuit text; sniff by shape."""
+def _load_circuit_arg(args: argparse.Namespace):
+    """A circuit argument is instance JSON or built-circuit text; sniff by shape.
+
+    An instance is checked against the caps of the chosen backends before
+    it is built: an nwt weight table alone has 4^r entries.
+    """
     try:
-        text = Path(path).read_text()
+        text = Path(args.circuit).read_text()
     except OSError as exc:
-        raise InstanceError(f"cannot read {path}: {exc}") from exc
+        raise InstanceError(f"cannot read {args.circuit}: {exc}") from exc
     if text.lstrip().startswith("{"):
-        return build_circuit(instance_from_text(text), mode)
+        instance = instance_from_text(text)
+        if args.backend != "dense":
+            check_branch_cap(hadamard_count(instance), args.branch_cap)
+        if args.backend != "pathsum":
+            check_dense_cap(instance_qubits(instance), args.dense_cap)
+        return build_circuit(instance, args.mode)
     return built_from_text(text)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    built = _load_circuit_arg(args.circuit, args.mode)
+    built = _load_circuit_arg(args)
     report: dict = {"problem": built.problem, "mode": built.mode,
                     "qubits": built.circuit.n_qubits, "exponent": built.denom_exponent}
     if args.backend in ("pathsum", "both"):

@@ -209,6 +209,12 @@ def check_branch_cap(h: int, branch_cap: int) -> None:
         raise CapExceededError(f"2^{h} branches exceed the 2^{branch_cap} branch cap")
 
 
+def check_dense_cap(n_qubits: int, cap: int) -> None:
+    """Refuse a statevector of more than `cap` qubits."""
+    if n_qubits > cap:
+        raise CapExceededError(f"{n_qubits} qubits exceed the dense cap of {cap}")
+
+
 def _h_prefix(circuit: Circuit) -> tuple[int, ...]:
     h = circuit.h_layer_size
     prefix = circuit.gates[:h]
@@ -295,8 +301,7 @@ def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndar
     `frame`, which marks the axes held flipped until the end.
     """
     n = circuit.n_qubits
-    if n > cap:
-        raise CapExceededError(f"{n} qubits exceed the dense cap of {cap}")
+    check_dense_cap(n, cap)
     psi = np.zeros((2,) * n)
     psi[(0,) * n] = 1.0
     frame = 0

@@ -19,7 +19,11 @@ writes its own operands.  Gates appear in execution order and keep their
 step tags, so parsing rebuilds an equal circuit.  The circuit, register,
 table and row lines precede the first gate line, so one pass over the lines
 checks each gate through `Circuit.add` as it reads it; every refusal caused
-by a line starts with `line N:`.
+by a line starts with `line N:`.  Explicit-mode text repeats its lines, so a
+gate line byte-identical to one already accepted appends that line's gate
+object and step again without a second parse or check, as
+`Circuit.extend` does for a repeated gate; the layout is fixed by then, and
+H, whose check depends on its position, is always parsed afresh.
 
 A built circuit puts one `<key> <value>` line per row of `_HEADER` in front
 of the same body; they are read only before the first other directive.
@@ -95,9 +99,15 @@ def _parse(text: str, header: dict | None) -> Circuit:
     offsets: list[int] = []
     measure: dict[str, tuple[int, ...]] = {}
     tables: list[tuple[DataTable, dict[int, int]]] = []
+    accepted: dict[str, tuple] = {}  # accepted gate line, H aside -> (gate, step)
     lineno = 0
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
+            known = accepted.get(raw)
+            if known is not None:
+                circuit.gates.append(known[0])
+                circuit.steps.append(known[1])
+                continue
             tokens = raw.split("#", 1)[0].split()
             if not tokens:  # blanks and comments never end the header block
                 continue
@@ -121,7 +131,10 @@ def _parse(text: str, header: dict | None) -> Circuit:
                 if tokens[1] != step:
                     step = tokens[1]
                     circuit.begin_step(step)
-                circuit.add(cls.from_tokens(tokens[3:]))
+                gate = cls.from_tokens(tokens[3:])
+                circuit.add(gate)
+                if not gate.LEADING:
+                    accepted[raw] = (gate, step)
             elif circuit is not None and word in ("register", "table"):
                 raise CircuitError(f"{word} line after the first gate line")
             elif word == "circuit":

@@ -1,7 +1,10 @@
 """Brute-force oracles and exact verification of the acceptance identity.
 
-For each problem the oracle counts solutions s among `total` candidates by
-direct enumeration, giving gap = 2s - total.  Verification simulates the
+For each problem the oracle counts solutions s among `total` candidates
+exhaustively, from the instance alone and never from the circuit, giving
+gap = 2s - total.  The ov and 3sum counts enumerate distinct values with
+their multiplicities; `tests/reference_interpreter.py` keeps the literal
+pair and triple loops to test them against.  Verification simulates the
 built circuit with the exact path-sum backend and demands
 
     p_acc == gap^2 / 2^k
@@ -14,6 +17,7 @@ an independent floating-point cross-check.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,7 +38,7 @@ from .builders import (
     PROBLEM_OV,
     MODE_QRAM,
 )
-from .ir import VOCABULARY, mcx_toffoli_cost
+from .ir import VOCABULARY, BitString, mcx_toffoli_cost
 from .simulator import (
     BRANCH_CAP_DEFAULT,
     DENSE_CAP_DEFAULT,
@@ -63,17 +67,26 @@ class OracleCounts:
 
 
 def oracle_ov(instance: OVInstance) -> OracleCounts:
-    """Count pairs (i, j) whose vectors have no common 1 bit."""
-    u = [bs.to_int() for bs in instance.u]
-    v = [bs.to_int() for bs in instance.v]
-    solutions = sum(1 for a in u for b in v if a & b == 0)
+    """Count pairs (i, j) whose vectors have no common 1 bit.
+
+    Every pair of distinct vector values is tested, weighted by how often
+    each value occurs.
+    """
+    u = Counter(map(BitString.to_int, instance.u))
+    v = Counter(map(BitString.to_int, instance.v))
+    solutions = sum([m * k for a, m in u.items() for b, k in v.items() if a & b == 0])
     return OracleCounts(solutions, instance.n ** 2)
 
 
 def oracle_threesum(instance: ThreeSumInstance) -> OracleCounts:
-    """Count ordered triples (with repetition) of values summing to zero."""
+    """Count ordered triples (with repetition) of values summing to zero.
+
+    Each ordered pair (a, b) completes to as many triples as there are
+    values equal to -(a + b).
+    """
     vals = instance.values
-    solutions = sum(1 for a in vals for b in vals for c in vals if a + b + c == 0)
+    count = Counter(vals)
+    solutions = sum([count.get(-(a + b), 0) for a in vals for b in vals])
     return OracleCounts(solutions, instance.n ** 3)
 
 

@@ -7,15 +7,18 @@ addresses.
 Hadamard layer, reading the IR gate fields directly, so it shares no
 lowering with either simulation backend.
 `reference_tally` charges the gates to the accountant one at a time.
+`reference_oracle` counts ov and 3sum solutions with the literal pair and
+triple loops.
 """
 
 from hypothesis import strategies as st
 
-from gapcircuits.builders import InstanceError
+from gapcircuits.builders import InstanceError, OVInstance
 from gapcircuits.dataload import DataTable
 from gapcircuits.ir import (
     CX, VOCABULARY, BitString, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit,
 )
+from gapcircuits.verification import OracleCounts
 
 KINDS = ("X", "Z", "CX", "Toffoli", "MCBitmask", "QramLoad")
 
@@ -102,3 +105,15 @@ def reference_tally(circuit):
             row[kind] = row.get(kind, 0) + amount
             small_control |= 0 < controls <= 3
     return per_step, small_control
+
+
+def reference_oracle(instance):
+    """OracleCounts of an ov or 3sum instance, one candidate pair or triple at a time."""
+    if isinstance(instance, OVInstance):
+        u = [bs.to_int() for bs in instance.u]
+        v = [bs.to_int() for bs in instance.v]
+        solutions = sum(1 for a in u for b in v if a & b == 0)
+        return OracleCounts(solutions, instance.n ** 2)
+    vals = instance.values
+    solutions = sum(1 for a in vals for b in vals for c in vals if a + b + c == 0)
+    return OracleCounts(solutions, instance.n ** 3)

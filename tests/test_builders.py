@@ -18,6 +18,7 @@ from gapcircuits.builders import (
     derive_sum_width,
     derive_weight_width,
     hardness_time,
+    instance_qubits,
     qubit_formula,
     sentinel_value,
 )
@@ -95,6 +96,16 @@ def test_nwt_qubits_and_exponent(n, bound):
     r, d = derive_index_width(n), derive_weight_width(bound)
     assert built.circuit.n_qubits == 4 * r + 4 * d + 14 == qubit_formula("nwt", r, d)
     assert built.denom_exponent == 7 * r + 4 * d + 10 == denom_exponent("nwt", r, d)
+
+
+@pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
+@pytest.mark.parametrize("instance", [
+    _ov(1, 1), _ov(5, 3), ThreeSumInstance(values=(0,), bound=1),
+    ThreeSumInstance(values=(-3, 1, 2), bound=8), NwtInstance(n=2, weight_bound=0, edges=()),
+    NwtInstance(n=5, weight_bound=3, edges=((1, 2, -3),)),
+])
+def test_instance_qubits_counts_without_building(instance, mode):
+    assert instance_qubits(instance) == build_circuit(instance, mode).circuit.n_qubits
 
 
 def test_measurement_plan_partition_and_h_layer():

@@ -176,6 +176,38 @@ def test_verify_refuses_branch_cap_before_building(tmp_path, monkeypatch, capsys
     assert "2^33 branches exceed the 2^24 branch cap" in capsys.readouterr().err
 
 
+def _refuse_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the caps were checked")
+
+    monkeypatch.setattr(cli, "build_circuit", refuse)
+
+
+def test_simulate_refuses_branch_cap_before_building(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "nwt.json"
+    inst.write_text('{"schema": "gap-instance-v1", "problem": "nwt", "n": 1100, '
+                    '"weight_bound": 1, "edges": []}')
+    _refuse_building(monkeypatch)
+    assert main(["simulate", str(inst)]) == 3
+    assert main(["simulate", str(inst), "--mode", "explicit", "--backend", "both"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: 2^33 branches exceed the 2^24 branch cap") == 2
+
+
+def test_simulate_refuses_dense_cap_before_building(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "nwt", "-n", "2", "--bound", "1", "--seed", "0", "--out", str(inst)])
+    _refuse_building(monkeypatch)
+    assert main(["simulate", str(inst), "--backend", "dense"]) == 3
+    assert main(["simulate", str(inst), "--backend", "both"]) == 3
+    assert main(["simulate", str(inst), "--backend", "dense", "--branch-cap", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: 26 qubits exceed the dense cap of 22") == 3
+    # the pathsum backend has no qubit cap, and the dense one no branch cap
+    with pytest.raises(AssertionError, match="built before"):
+        main(["simulate", str(inst), "--dense-cap", "1"])
+
+
 def test_verify_report_and_determinism(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     out = tmp_path / "report.json"

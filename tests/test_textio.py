@@ -4,10 +4,12 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, build_circuit
 from gapcircuits.instancefile import generate_nwt, generate_ov, generate_threesum
-from gapcircuits.ir import CircuitError
+from gapcircuits.ir import CX, CircuitError, H, X, new_circuit
 from gapcircuits.simulator import simulate_pathsum
 from gapcircuits.textio import (
     built_from_text,
@@ -16,6 +18,7 @@ from gapcircuits.textio import (
     circuit_to_text,
 )
 from gapcircuits.verification import render_report, verify_built
+from reference_interpreter import random_circuit
 
 
 @pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
@@ -97,6 +100,9 @@ def test_bound_header_dash_means_none():
     ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 1 1\n\nrow 1 0\n", "line 6: duplicate address"),
     ("circuit 2\nregister a 0 2\ntable t 0 1\n", "line 3: table widths must be positive"),
     ("circuit 2\nregister a 0 2\ngate 1 X 0\nregister b 2 1\n", "line 4: register line after"),
+    # a late H is refused even when its line repeats an accepted leading one
+    ("circuit 2\nregister a 0 2\ngate 1 H 0\ngate 1 X 1\ngate 1 H 0\n",
+     "line 5: h gates are only allowed in the leading layer"),
 ])
 def test_malformed_text_rejected(bad, fragment):
     with pytest.raises(CircuitError) as err:
@@ -142,3 +148,44 @@ def test_built_header_read_only_before_the_body():
     with pytest.raises(CircuitError) as err:
         built_from_text(text.replace("mode qram\n", "mode qram\nmode qram\n"))
     assert str(err.value).startswith("line 3: malformed built-circuit header line")
+
+
+# --- a repeated gate line is parsed once --------------------------------------
+
+
+def test_repeated_lines_keep_their_steps():
+    circuit = new_circuit([("q", 3)])
+    # a repeated line may sit between lines of another step, and the line
+    # after it may share its step or not
+    for step, gate in (("s", H(0)), ("a", X(1)), ("b", CX(0, 2)), ("a", X(1)),
+                       ("a", X(2)), ("b", CX(0, 2)), ("a", X(1)), ("b", X(1))):
+        circuit.begin_step(step)
+        circuit.add(gate)
+    text = circuit_to_text(circuit)
+    back = circuit_from_text(text)
+    assert back == circuit
+    assert back.steps == ["s", "a", "b", "a", "a", "b", "a", "b"]
+    assert circuit_to_text(back) == text
+
+
+@pytest.mark.parametrize("make,args", [
+    (generate_ov, (8, 3)), (generate_threesum, (5, 8)), (generate_nwt, (4, 2)),
+])
+def test_explicit_text_shares_one_gate_per_distinct_line(make, args):
+    text = built_to_text(build_circuit(make(*args, seed=2), MODE_EXPLICIT))
+    gates = built_from_text(text).circuit.gates
+    gate_lines = [line for line in text.splitlines() if line.startswith("gate ")]
+    assert len(gates) == len(gate_lines) > len(set(gate_lines))
+    assert len({id(gate) for gate in gates}) <= len(set(gate_lines))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_round_trip_with_repeated_gates(data):
+    circuit = random_circuit(data, data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3)))
+    body = circuit.gates[circuit.h_layer_size:]
+    if body:
+        for index in data.draw(st.lists(st.integers(0, len(body) - 1), max_size=12)):
+            circuit.begin_step(data.draw(st.sampled_from(("body", "again"))))
+            circuit.add(body[index])
+    assert circuit_from_text(circuit_to_text(circuit)) == circuit

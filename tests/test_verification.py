@@ -34,7 +34,7 @@ from gapcircuits.verification import (
     verify_built,
     verify_instance,
 )
-from reference_interpreter import random_circuit, reference_tally
+from reference_interpreter import random_circuit, reference_oracle, reference_tally
 
 OV_EXAMPLE = OVInstance(u=(BitString((1,)), BitString((0,))),
                         v=(BitString((1,)), BitString((0,))))
@@ -61,6 +61,31 @@ def test_oracle_nwt_frozen():
     counts = oracle_nwt(NwtInstance(n=3, weight_bound=2,
                                     edges=((1, 2, 2), (1, 3, -1), (2, 3, -1))))
     assert counts.solutions == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_oracle_ov_matches_reference(data):
+    # a pool of at most three values, so vectors repeat; all-zero vectors and
+    # n=1 are in range
+    d = data.draw(st.integers(1, 4))
+    pool = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=3))
+    n = data.draw(st.integers(1, 12))
+    vectors = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    u, v = (tuple(BitString.from_int(x, d) for x in data.draw(vectors)) for _ in range(2))
+    instance = OVInstance(u=u, v=v)
+    assert oracle_ov(instance) == reference_oracle(instance)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_oracle_threesum_matches_reference(data):
+    # small bounds make triples that use one value twice or three times
+    bound = data.draw(st.integers(1, 6))
+    values = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=2 * bound + 1,
+                                unique=True))
+    instance = ThreeSumInstance(values=tuple(values), bound=bound)
+    assert oracle_threesum(instance) == reference_oracle(instance)
 
 
 def test_predicted_pacc():
