@@ -82,7 +82,6 @@ from .simulator import (
     DENSE_CAP_DEFAULT,
     SimOutcome,
     SimulationError,
-    acceptance_probability,
     apply_gates,
     dense_acceptance,
     simulate_dense,

@@ -12,6 +12,11 @@ Problems:
   ov:    pairs (i, j) with u_i . v_j = 0 (bitwise products all zero)
   3sum:  ordered value triples summing to 0
   nwt:   ordered vertex triples forming a triangle of negative total weight
+
+Each instance class declares its problem name, its number of index
+registers, its widths r and d, and the bound its circuit records.  The
+steps every family shares are in `_begin` and `_finish`; each builder
+holds only its own family's steps.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ class InstanceError(ValueError):
 class OVInstance:
     """Two lists of n bit vectors of equal width d."""
 
+    PROBLEM = PROBLEM_OV
+    INDEX_REGISTERS = 2
+    bound = None
+
     u: tuple[BitString, ...]
     v: tuple[BitString, ...]
 
@@ -62,6 +71,10 @@ class OVInstance:
         return len(self.u)
 
     @property
+    def r(self) -> int:
+        return derive_index_width(self.n)
+
+    @property
     def d(self) -> int:
         return self.u[0].width
 
@@ -69,6 +82,9 @@ class OVInstance:
 @dataclass(frozen=True)
 class ThreeSumInstance:
     """A set of n distinct integers, each within [-bound, bound]."""
+
+    PROBLEM = PROBLEM_3SUM
+    INDEX_REGISTERS = 3
 
     values: tuple[int, ...]
     bound: int
@@ -88,10 +104,21 @@ class ThreeSumInstance:
     def n(self) -> int:
         return len(self.values)
 
+    @property
+    def r(self) -> int:
+        return derive_index_width(self.n)
+
+    @property
+    def d(self) -> int:
+        return derive_sum_width(self.bound)
+
 
 @dataclass(frozen=True)
 class NwtInstance:
     """Undirected graph on vertices 1..n with integer edge weights in [-bound, bound]."""
+
+    PROBLEM = PROBLEM_NWT
+    INDEX_REGISTERS = 3
 
     n: int
     weight_bound: int
@@ -111,6 +138,18 @@ class NwtInstance:
             seen.add((i, j))
             if abs(w) > self.weight_bound:
                 raise InstanceError(f"edge weight {w} exceeds bound {self.weight_bound}")
+
+    @property
+    def r(self) -> int:
+        return derive_index_width(self.n)
+
+    @property
+    def d(self) -> int:
+        return derive_weight_width(self.weight_bound)
+
+    @property
+    def bound(self) -> int:
+        return self.weight_bound
 
 
 Instance = OVInstance | ThreeSumInstance | NwtInstance
@@ -148,8 +187,7 @@ def build_w_matrix(instance: NwtInstance) -> tuple[tuple[int, ...], ...]:
     Entry (i, j) is weight(i+1, j+1) + bound for an existing edge; the
     diagonal, missing edges, and indices >= n all hold the sentinel.
     """
-    r = derive_index_width(instance.n)
-    side = 1 << r
+    side = 1 << instance.r
     sentinel = sentinel_value(instance.weight_bound)
     w = [[sentinel] * side for _ in range(side)]
     for i, j, weight in instance.edges:
@@ -195,147 +233,132 @@ def qubit_formula(problem: str, r: int, d: int) -> int:
     raise InstanceError(f"unknown problem {problem!r}")
 
 
+def family_lookup(table: dict, instance: Instance):
+    """The entry of a table keyed by instance class for this instance's family."""
+    entry = table.get(type(instance))
+    if entry is None:
+        raise InstanceError(f"unknown instance type {type(instance).__name__}")
+    return entry
+
+
 def hadamard_count(instance: Instance) -> int:
     """Leading Hadamards of the instance's circuit in either mode, so log2 of
-    its path-sum branches: r per index register, two registers for ov and
-    three for 3sum and nwt."""
-    if isinstance(instance, OVInstance):
-        return 2 * derive_index_width(instance.n)
-    if isinstance(instance, (ThreeSumInstance, NwtInstance)):
-        return 3 * derive_index_width(instance.n)
-    raise InstanceError(f"unknown instance type {type(instance).__name__}")
+    its path-sum branches: r per index register."""
+    family_lookup(_BUILDERS, instance)
+    return instance.INDEX_REGISTERS * instance.r
 
 
 def instance_qubits(instance: Instance) -> int:
     """qubit_formula for the instance's circuit in either mode, without building it."""
-    if isinstance(instance, OVInstance):
-        return qubit_formula(PROBLEM_OV, derive_index_width(instance.n), instance.d)
-    if isinstance(instance, ThreeSumInstance):
-        return qubit_formula(PROBLEM_3SUM, derive_index_width(instance.n),
-                             derive_sum_width(instance.bound))
-    if isinstance(instance, NwtInstance):
-        return qubit_formula(PROBLEM_NWT, derive_index_width(instance.n),
-                             derive_weight_width(instance.weight_bound))
-    raise InstanceError(f"unknown instance type {type(instance).__name__}")
+    family_lookup(_BUILDERS, instance)
+    return qubit_formula(instance.PROBLEM, instance.r, instance.d)
 
 
-def _check_mode(mode: str) -> None:
+def _begin(instance: Instance, mode: str, index_names: tuple[str, ...],
+           data_layout: list[tuple[str, int]]):
+    """Steps 1-2 of every family, and a `load(table, address, data)` that
+    emits a lookup gate (qram) or the explicit loader product.
+
+    Registers: the index registers, nmax, one flag per index, the family's
+    data registers, hit and the shared ancilla.  Step 1 puts Hadamards on the
+    indices and n-1 on nmax; step 2 sets flag m to [index_m > n-1], so valid
+    branches keep all flags 0.
+    """
     if mode not in MODES:
         raise InstanceError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _prepare_index_layer(circuit: Circuit, index_regs, nmax_reg, n: int) -> None:
-    # Hadamards over every index register, then the constant n-1 onto nmax.
+    r = instance.r
+    circuit = new_circuit([
+        *((name, r) for name in index_names), ("nmax", r), ("flags", len(index_names)),
+        *data_layout, ("hit", 1), ("anc", 1),
+    ])
+    regs = circuit.registers
+    anc = regs["anc"][0]
+    nmax = regs["nmax"].qubits
     circuit.begin_step("1")
-    for reg in index_regs:
-        for q in reg:
+    for name in index_names:
+        for q in regs[name]:
             circuit.add(H(q))
-    for t, q in enumerate(nmax_reg):
-        if (n - 1) >> t & 1:
+    last = instance.n - 1
+    for t, q in enumerate(nmax):
+        if last >> t & 1:
             circuit.add(X(q))
-
-
-def _emit_range_checks(circuit: Circuit, index_regs, nmax_reg, flags_reg, ancilla: int) -> None:
-    # Flag bit m becomes [index_m > n-1]; valid branches keep all flags 0.
     circuit.begin_step("2")
-    for m, reg in enumerate(index_regs):
-        layout = ArithLayout(ancilla=ancilla, a=reg.qubits, b=nmax_reg.qubits, out=flags_reg[m])
-        emit_comparator_gt(circuit, layout)
+    for m, name in enumerate(index_names):
+        emit_comparator_gt(circuit, ArithLayout(
+            ancilla=anc, a=regs[name].qubits, b=nmax, out=regs["flags"][m]))
+
+    def load(table: DataTable, address: tuple[int, ...], data: tuple[int, ...]) -> None:
+        if mode == MODE_QRAM:
+            emit_qram_load(circuit, table, address, data)
+        else:
+            emit_loader_unitary(circuit, table, address, data, anc)
+
+    return circuit, load
 
 
-def _finish(instance: Instance, circuit: Circuit, built: BuiltCircuit) -> BuiltCircuit:
-    plan = circuit.measurement
-    assert plan is not None
-    k = circuit.h_layer_size + len(plan.x_qubits)
-    if k != built.denom_exponent:
+def _finish(instance: Instance, mode: str, circuit: Circuit, step: str) -> BuiltCircuit:
+    """The last step's Z on hit, then flags measured in Z and all but the
+    ancilla in X; checks the closed forms against the circuit."""
+    regs = circuit.registers
+    circuit.begin_step(step)
+    circuit.add(Z(regs["hit"][0]))
+    z, anc = regs["flags"].qubits, regs["anc"][0]
+    x = tuple(q for q in range(circuit.n_qubits) if q not in z and q != anc)
+    circuit.set_measurement(z, x, (anc,))
+    problem, r, d = instance.PROBLEM, instance.r, instance.d
+    built = BuiltCircuit(circuit, problem, mode, instance.n, r, d, instance.bound,
+                         denom_exponent(problem, r, d))
+    if circuit.h_layer_size + len(x) != built.denom_exponent:
         raise AssertionError(
             f"denominator exponent {built.denom_exponent} != Hadamards {circuit.h_layer_size} "
-            f"+ X-measured {len(plan.x_qubits)}"
+            f"+ X-measured {len(x)}"
         )
-    if circuit.n_qubits != qubit_formula(built.problem, built.r, built.d):
+    if circuit.n_qubits != qubit_formula(problem, r, d):
         raise AssertionError("qubit count does not match the closed formula")
     if circuit.h_layer_size != hadamard_count(instance):
         raise AssertionError("Hadamard count does not match the closed formula")
     return built
 
 
-def _measure_flags_rest_x(circuit: Circuit, flags_reg, ancilla: int) -> None:
-    z = flags_reg.qubits
-    x = tuple(q for q in range(circuit.n_qubits) if q not in z and q != ancilla)
-    circuit.set_measurement(z, x, (ancilla,))
-
-
 def build_ov_circuit(instance: OVInstance, mode: str = MODE_QRAM) -> BuiltCircuit:
     """Circuit whose acceptance probability is gap^2 / 2^(5r+3d+1) for the
     orthogonal-pair count of the instance."""
-    _check_mode(mode)
-    n, d = instance.n, instance.d
-    r = derive_index_width(n)
-    circuit = new_circuit([
-        ("i", r), ("j", r), ("nmax", r), ("flags", 2),
-        ("ui", d), ("vj", d), ("dot", d), ("hit", 1), ("anc", 1),
-    ])
+    r, d = instance.r, instance.d
+    circuit, load = _begin(instance, mode, ("i", "j"), [("ui", d), ("vj", d), ("dot", d)])
     regs = circuit.registers
-    anc = regs["anc"][0]
-    _prepare_index_layer(circuit, (regs["i"], regs["j"]), regs["nmax"], n)
-    _emit_range_checks(circuit, (regs["i"], regs["j"]), regs["nmax"], regs["flags"], anc)
 
     circuit.begin_step("3")
-    table_u = DataTable.from_values("u", (bs.to_int() for bs in instance.u), r, d)
-    table_v = DataTable.from_values("v", (bs.to_int() for bs in instance.v), r, d)
-    if mode == MODE_QRAM:
-        emit_qram_load(circuit, table_u, regs["i"].qubits, regs["ui"].qubits)
-        emit_qram_load(circuit, table_v, regs["j"].qubits, regs["vj"].qubits)
-    else:
-        emit_loader_unitary(circuit, table_u, regs["i"].qubits, regs["ui"].qubits, anc)
-        emit_loader_unitary(circuit, table_v, regs["j"].qubits, regs["vj"].qubits, anc)
+    load(DataTable.from_values("u", (bs.to_int() for bs in instance.u), r, d),
+         regs["i"].qubits, regs["ui"].qubits)
+    load(DataTable.from_values("v", (bs.to_int() for bs in instance.v), r, d),
+         regs["j"].qubits, regs["vj"].qubits)
 
     circuit.begin_step("4")
     for m in range(d):
         circuit.add(Toffoli(regs["ui"][m], regs["vj"][m], regs["dot"][m]))
 
     circuit.begin_step("5")
-    emit_equality_flag(circuit, regs["dot"].qubits, BitString.from_int(0, d), regs["hit"][0], anc)
-
-    circuit.begin_step("6")
-    circuit.add(Z(regs["hit"][0]))
-
-    _measure_flags_rest_x(circuit, regs["flags"], anc)
-    return _finish(instance, circuit, BuiltCircuit(
-        circuit, PROBLEM_OV, mode, n, r, d, None, denom_exponent(PROBLEM_OV, r, d)))
+    emit_equality_flag(circuit, regs["dot"].qubits, BitString.from_int(0, d), regs["hit"][0],
+                       regs["anc"][0])
+    return _finish(instance, mode, circuit, "6")
 
 
 def build_threesum_circuit(instance: ThreeSumInstance, mode: str = MODE_QRAM) -> BuiltCircuit:
     """Circuit whose acceptance probability is gap^2 / 2^(7r+3d+4) for the
     zero-sum ordered-triple count of the instance."""
-    _check_mode(mode)
-    n, bound = instance.n, instance.bound
-    r = derive_index_width(n)
-    d = derive_sum_width(bound)
-    circuit = new_circuit([
-        ("i", r), ("j", r), ("k", r), ("nmax", r), ("flags", 3),
-        ("e1", d), ("e2", d + 1), ("e3", d + 2), ("hit", 1), ("anc", 1),
-    ])
+    r, d, bound = instance.r, instance.d, instance.bound
+    circuit, load = _begin(instance, mode, ("i", "j", "k"),
+                           [("e1", d), ("e2", d + 1), ("e3", d + 2)])
     regs = circuit.registers
     anc = regs["anc"][0]
-    index_regs = (regs["i"], regs["j"], regs["k"])
-    _prepare_index_layer(circuit, index_regs, regs["nmax"], n)
-    _emit_range_checks(circuit, index_regs, regs["nmax"], regs["flags"], anc)
 
     # Values are stored shifted by +bound so they are non-negative d-bit words;
     # a zero-sum triple is then exactly a shifted sum of 3*bound.
     circuit.begin_step("3")
     table = DataTable.from_values("e", (x + bound for x in instance.values), r, d)
-    loads = (
-        (regs["i"], regs["e1"].qubits),
-        (regs["j"], regs["e2"].qubits[:d]),
-        (regs["k"], regs["e3"].qubits[:d]),
-    )
-    for addr_reg, data_qubits in loads:
-        if mode == MODE_QRAM:
-            emit_qram_load(circuit, table, addr_reg.qubits, data_qubits)
-        else:
-            emit_loader_unitary(circuit, table, addr_reg.qubits, data_qubits, anc)
+    load(table, regs["i"].qubits, regs["e1"].qubits)
+    load(table, regs["j"].qubits, regs["e2"].qubits[:d])
+    load(table, regs["k"].qubits, regs["e3"].qubits[:d])
 
     circuit.begin_step("4")
     emit_adder(circuit, ArithLayout(
@@ -348,33 +371,18 @@ def build_threesum_circuit(instance: ThreeSumInstance, mode: str = MODE_QRAM) ->
     circuit.begin_step("6")
     emit_equality_flag(circuit, regs["e3"].qubits, BitString.from_int(3 * bound, d + 2),
                        regs["hit"][0], anc)
-
-    circuit.begin_step("7")
-    circuit.add(Z(regs["hit"][0]))
-
-    _measure_flags_rest_x(circuit, regs["flags"], anc)
-    return _finish(instance, circuit, BuiltCircuit(
-        circuit, PROBLEM_3SUM, mode, n, r, d, bound, denom_exponent(PROBLEM_3SUM, r, d)))
+    return _finish(instance, mode, circuit, "7")
 
 
 def build_nwt_circuit(instance: NwtInstance, mode: str = MODE_QRAM) -> BuiltCircuit:
     """Circuit whose acceptance probability is gap^2 / 2^(7r+4d+10) for the
     negative-triangle ordered-triple count of the instance."""
-    _check_mode(mode)
-    n, bound = instance.n, instance.weight_bound
-    r = derive_index_width(n)
-    d = derive_weight_width(bound)
-    sentinel = sentinel_value(bound)
-    circuit = new_circuit([
-        ("x", r), ("y", r), ("z", r), ("nmax", r), ("flags", 3),
-        ("wxy", d), ("wyz", d + 1), ("wxz", d + 2), ("eflags", 3),
-        ("target", d + 2), ("cmp", 1), ("hit", 1), ("anc", 1),
+    r, d, bound = instance.r, instance.d, instance.bound
+    circuit, load = _begin(instance, mode, ("x", "y", "z"), [
+        ("wxy", d), ("wyz", d + 1), ("wxz", d + 2), ("eflags", 3), ("target", d + 2), ("cmp", 1),
     ])
     regs = circuit.registers
     anc = regs["anc"][0]
-    index_regs = (regs["x"], regs["y"], regs["z"])
-    _prepare_index_layer(circuit, index_regs, regs["nmax"], n)
-    _emit_range_checks(circuit, index_regs, regs["nmax"], regs["flags"], anc)
 
     # One flat table serves all three pair loads: address (a, b) -> W[a][b],
     # keyed a + (b << r), every pair stored (sentinels included).
@@ -384,20 +392,13 @@ def build_nwt_circuit(instance: NwtInstance, mode: str = MODE_QRAM) -> BuiltCirc
     entries = tuple((a + (b << r), w[a][b]) for b in range(side) for a in range(side))
     table = DataTable("w", 2 * r, d, entries)
     x, y, z = regs["x"].qubits, regs["y"].qubits, regs["z"].qubits
-    loads = (
-        (x + y, regs["wxy"].qubits),
-        (y + z, regs["wyz"].qubits[:d]),
-        (x + z, regs["wxz"].qubits[:d]),
-    )
-    for address_qubits, data_qubits in loads:
-        if mode == MODE_QRAM:
-            emit_qram_load(circuit, table, address_qubits, data_qubits)
-        else:
-            emit_loader_unitary(circuit, table, address_qubits, data_qubits, anc)
+    load(table, x + y, regs["wxy"].qubits)
+    load(table, y + z, regs["wyz"].qubits[:d])
+    load(table, x + z, regs["wxz"].qubits[:d])
 
     # Sentinel detection must precede the adders, which overwrite the sums.
     circuit.begin_step("4")
-    pattern = BitString.from_int(sentinel, d)
+    pattern = BitString.from_int(sentinel_value(bound), d)
     emit_equality_flag(circuit, regs["wxy"].qubits, pattern, regs["eflags"][0], anc)
     emit_equality_flag(circuit, regs["wyz"].qubits[:d], pattern, regs["eflags"][1], anc)
     emit_equality_flag(circuit, regs["wxz"].qubits[:d], pattern, regs["eflags"][2], anc)
@@ -419,23 +420,18 @@ def build_nwt_circuit(instance: NwtInstance, mode: str = MODE_QRAM) -> BuiltCirc
     circuit.begin_step("7")
     probe = regs["eflags"].qubits + regs["cmp"].qubits
     emit_equality_flag(circuit, probe, BitString.from_int(0, 4), regs["hit"][0], anc)
+    return _finish(instance, mode, circuit, "8")
 
-    circuit.begin_step("8")
-    circuit.add(Z(regs["hit"][0]))
 
-    _measure_flags_rest_x(circuit, regs["flags"], anc)
-    return _finish(instance, circuit, BuiltCircuit(
-        circuit, PROBLEM_NWT, mode, n, r, d, bound, denom_exponent(PROBLEM_NWT, r, d)))
+_BUILDERS = {
+    OVInstance: build_ov_circuit,
+    ThreeSumInstance: build_threesum_circuit,
+    NwtInstance: build_nwt_circuit,
+}
 
 
 def build_circuit(instance: Instance, mode: str = MODE_QRAM) -> BuiltCircuit:
-    if isinstance(instance, OVInstance):
-        return build_ov_circuit(instance, mode)
-    if isinstance(instance, ThreeSumInstance):
-        return build_threesum_circuit(instance, mode)
-    if isinstance(instance, NwtInstance):
-        return build_nwt_circuit(instance, mode)
-    raise InstanceError(f"unknown instance type {type(instance).__name__}")
+    return family_lookup(_BUILDERS, instance)(instance, mode)
 
 
 def hardness_time(problem: str, n_qubits: float, delta: float, *, c: float = 1.0,

@@ -310,13 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "gen":
-        if args.problem == PROBLEM_OV and args.d is None:
-            print("gen ov requires -d", file=sys.stderr)
-            return 2
-        if args.problem in (PROBLEM_3SUM, PROBLEM_NWT) and args.bound is None:
-            print(f"gen {args.problem} requires --bound", file=sys.stderr)
-            return 2
     if args.command == "sweep" and args.trials < 1:  # a sweep that checks nothing cannot pass
         print(f"sweep --trials must be at least 1, got {args.trials}", file=sys.stderr)
         return 2

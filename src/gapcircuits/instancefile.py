@@ -97,37 +97,37 @@ def generate_nwt(n: int, bound: int, seed: int) -> NwtInstance:
     return NwtInstance(n=n, weight_bound=bound, edges=tuple(edges))
 
 
+# Each problem's generator, the argument that sizes it, and the `gen` flag that sets it.
+_GENERATORS = {
+    PROBLEM_OV: (generate_ov, "d", "-d"),
+    PROBLEM_3SUM: (generate_threesum, "bound", "--bound"),
+    PROBLEM_NWT: (generate_nwt, "bound", "--bound"),
+}
+
+
 def generate(problem: str, seed: int, *, n: int, d: int | None = None,
              bound: int | None = None) -> Instance:
-    if problem == PROBLEM_OV:
-        if d is None:
-            raise InstanceError("ov needs a vector width d")
-        return generate_ov(n, d, seed)
-    if problem == PROBLEM_3SUM:
-        if bound is None:
-            raise InstanceError("3sum needs a value bound")
-        return generate_threesum(n, bound, seed)
-    if problem == PROBLEM_NWT:
-        if bound is None:
-            raise InstanceError("nwt needs a weight bound")
-        return generate_nwt(n, bound, seed)
-    raise InstanceError(f"unknown problem {problem!r}")
+    if problem not in _GENERATORS:
+        raise InstanceError(f"unknown problem {problem!r}")
+    generator, key, flag = _GENERATORS[problem]
+    size = {"d": d, "bound": bound}[key]
+    if size is None:
+        raise InstanceError(f"{problem} needs {key} ({flag})")
+    return generator(n, size, seed)
 
 
 def instance_to_dict(instance: Instance, seed: int | None = None) -> dict:
     if isinstance(instance, OVInstance):
-        body = {"problem": PROBLEM_OV,
-                "u": [list(bs.bits) for bs in instance.u],
+        body = {"u": [list(bs.bits) for bs in instance.u],
                 "v": [list(bs.bits) for bs in instance.v]}
     elif isinstance(instance, ThreeSumInstance):
-        body = {"problem": PROBLEM_3SUM, "bound": instance.bound,
-                "values": list(instance.values)}
+        body = {"bound": instance.bound, "values": list(instance.values)}
     elif isinstance(instance, NwtInstance):
-        body = {"problem": PROBLEM_NWT, "n": instance.n,
-                "weight_bound": instance.weight_bound,
+        body = {"n": instance.n, "weight_bound": instance.weight_bound,
                 "edges": [list(e) for e in instance.edges]}
     else:
         raise InstanceError(f"unknown instance type {type(instance).__name__}")
+    body["problem"] = instance.PROBLEM
     body["schema"] = SCHEMA
     if seed is not None:
         body["seed"] = seed

@@ -351,14 +351,3 @@ def dense_acceptance(circuit: Circuit, state: np.ndarray) -> float:
         kept = (_pinned(kept, ((q, 0),)) + _pinned(kept, ((q, 1),))) * _SQRT_HALF
     return float(np.vdot(kept, kept).real)
 
-
-def acceptance_probability(circuit: Circuit, backend: str = "pathsum", *,
-                           dense_cap: int = DENSE_CAP_DEFAULT,
-                           branch_cap: int = BRANCH_CAP_DEFAULT,
-                           jobs: int = 1) -> Fraction | float:
-    """All-zero-outcome probability: exact Fraction (pathsum) or float (dense)."""
-    if backend == "pathsum":
-        return simulate_pathsum(circuit, branch_cap=branch_cap, jobs=jobs).p_acc
-    if backend == "dense":
-        return dense_acceptance(circuit, simulate_dense(circuit, cap=dense_cap))
-    raise SimulationError(f"unknown backend {backend!r}")

@@ -31,6 +31,7 @@ from .builders import (
     ThreeSumInstance,
     build_circuit,
     denom_exponent,
+    family_lookup,
     hadamard_count,
     qubit_formula,
     PROBLEM_3SUM,
@@ -114,14 +115,11 @@ def oracle_nwt(instance: NwtInstance) -> OracleCounts:
     return OracleCounts(solutions, instance.n ** 3)
 
 
+_ORACLES = {OVInstance: oracle_ov, ThreeSumInstance: oracle_threesum, NwtInstance: oracle_nwt}
+
+
 def oracle_counts(instance: Instance) -> OracleCounts:
-    if isinstance(instance, OVInstance):
-        return oracle_ov(instance)
-    if isinstance(instance, ThreeSumInstance):
-        return oracle_threesum(instance)
-    if isinstance(instance, NwtInstance):
-        return oracle_nwt(instance)
-    raise InstanceError(f"unknown instance type {type(instance).__name__}")
+    return family_lookup(_ORACLES, instance)(instance)
 
 
 def dense_agrees(dense_value: float, outcome: SimOutcome) -> bool:

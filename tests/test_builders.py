@@ -17,12 +17,14 @@ from gapcircuits.builders import (
     derive_index_width,
     derive_sum_width,
     derive_weight_width,
+    hadamard_count,
     hardness_time,
     instance_qubits,
     qubit_formula,
     sentinel_value,
 )
 from gapcircuits.ir import BitString, QramLoad
+from gapcircuits.verification import oracle_counts
 
 
 def _ov(n, d, fill=0):
@@ -105,7 +107,17 @@ def test_nwt_qubits_and_exponent(n, bound):
     NwtInstance(n=5, weight_bound=3, edges=((1, 2, -3),)),
 ])
 def test_instance_qubits_counts_without_building(instance, mode):
-    assert instance_qubits(instance) == build_circuit(instance, mode).circuit.n_qubits
+    built = build_circuit(instance, mode)
+    assert instance_qubits(instance) == built.circuit.n_qubits
+    assert hadamard_count(instance) == built.circuit.h_layer_size
+    assert (instance.r, instance.d) == (built.r, built.d)
+    assert (instance.PROBLEM, instance.bound) == (built.problem, built.bound)
+
+
+@pytest.mark.parametrize("lookup", [build_circuit, oracle_counts, hadamard_count, instance_qubits])
+def test_lookups_refuse_foreign_objects(lookup):
+    with pytest.raises(InstanceError, match="unknown instance type"):
+        lookup("ov")  # a problem name is not an instance
 
 
 def test_measurement_plan_partition_and_h_layer():
@@ -140,8 +152,11 @@ def test_step_labels_cover_build():
 
 
 def test_bad_mode_rejected():
-    with pytest.raises(InstanceError):
-        build_circuit(_ov(2, 1), "dense")
+    for instance in (_ov(2, 1), ThreeSumInstance(values=(0,), bound=1),
+                     NwtInstance(n=2, weight_bound=0, edges=())):
+        for mode in ("dense", "bogus"):
+            with pytest.raises(InstanceError, match="mode must be one of"):
+                build_circuit(instance, mode)
 
 
 def test_hardness_time_values():

@@ -37,7 +37,11 @@ def test_gen_is_deterministic(tmp_path):
 
 def test_gen_argument_errors(capsys):
     assert main(["gen", "ov", "-n", "2"]) == 2  # missing -d
+    assert "-d" in capsys.readouterr().err
     assert main(["gen", "3sum", "-n", "2"]) == 2  # missing --bound
+    assert "--bound" in capsys.readouterr().err
+    assert main(["gen", "nwt", "-n", "2"]) == 2
+    assert "--bound" in capsys.readouterr().err
     assert main(["gen", "3sum", "-n", "6", "--bound", "1"]) == 2  # pigeonhole
     assert main(["gen", "ov", "-n", "9", "-d", "1"]) == 2  # over budget
     assert "budget" in capsys.readouterr().err

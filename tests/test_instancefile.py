@@ -38,6 +38,7 @@ EXAMPLES = [
 @pytest.mark.parametrize("instance", EXAMPLES)
 def test_dict_round_trip(instance):
     assert instance_from_dict(instance_to_dict(instance)) == instance
+    assert instance_to_dict(instance)["problem"] == instance.PROBLEM
 
 
 @pytest.mark.parametrize("instance", EXAMPLES)

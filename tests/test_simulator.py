@@ -11,7 +11,6 @@ from gapcircuits.ir import CX, H, X, Z, new_circuit
 from gapcircuits.simulator import (
     CapExceededError,
     SimulationError,
-    acceptance_probability,
     apply_gates,
     dense_acceptance,
     simulate_dense,
@@ -136,11 +135,3 @@ def test_malformed_h_layer_detected():
     circ.set_measurement((0,), (1,))
     with pytest.raises(SimulationError):
         simulate_pathsum(circ)
-
-
-def test_acceptance_probability_dispatch():
-    circ = _bell_like()
-    assert acceptance_probability(circ, "pathsum") == Fraction(1, 4)
-    assert acceptance_probability(circ, "dense") == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(SimulationError):
-        acceptance_probability(circ, "tensor")
