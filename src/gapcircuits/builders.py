@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arithmetic import ArithLayout, emit_adder, emit_comparator_ge, emit_comparator_gt
 from .dataload import (
@@ -70,11 +71,11 @@ class OVInstance:
     def n(self) -> int:
         return len(self.u)
 
-    @property
+    @cached_property
     def r(self) -> int:
         return derive_index_width(self.n)
 
-    @property
+    @cached_property
     def d(self) -> int:
         return self.u[0].width
 
@@ -104,11 +105,11 @@ class ThreeSumInstance:
     def n(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def r(self) -> int:
         return derive_index_width(self.n)
 
-    @property
+    @cached_property
     def d(self) -> int:
         return derive_sum_width(self.bound)
 
@@ -139,11 +140,11 @@ class NwtInstance:
             if abs(w) > self.weight_bound:
                 raise InstanceError(f"edge weight {w} exceeds bound {self.weight_bound}")
 
-    @property
+    @cached_property
     def r(self) -> int:
         return derive_index_width(self.n)
 
-    @property
+    @cached_property
     def d(self) -> int:
         return derive_weight_width(self.weight_bound)
 
@@ -338,8 +339,7 @@ def build_ov_circuit(instance: OVInstance, mode: str = MODE_QRAM) -> BuiltCircui
         circuit.add(Toffoli(regs["ui"][m], regs["vj"][m], regs["dot"][m]))
 
     circuit.begin_step("5")
-    emit_equality_flag(circuit, regs["dot"].qubits, BitString.from_int(0, d), regs["hit"][0],
-                       regs["anc"][0])
+    emit_equality_flag(circuit, regs["dot"].qubits, 0, regs["hit"][0], regs["anc"][0])
     return _finish(instance, mode, circuit, "6")
 
 
@@ -369,8 +369,7 @@ def build_threesum_circuit(instance: ThreeSumInstance, mode: str = MODE_QRAM) ->
         ancilla=anc, a=regs["e2"].qubits, b=regs["e3"].qubits[:d + 1], out=regs["e3"][d + 1]))
 
     circuit.begin_step("6")
-    emit_equality_flag(circuit, regs["e3"].qubits, BitString.from_int(3 * bound, d + 2),
-                       regs["hit"][0], anc)
+    emit_equality_flag(circuit, regs["e3"].qubits, 3 * bound, regs["hit"][0], anc)
     return _finish(instance, mode, circuit, "7")
 
 
@@ -398,7 +397,7 @@ def build_nwt_circuit(instance: NwtInstance, mode: str = MODE_QRAM) -> BuiltCirc
 
     # Sentinel detection must precede the adders, which overwrite the sums.
     circuit.begin_step("4")
-    pattern = BitString.from_int(sentinel_value(bound), d)
+    pattern = sentinel_value(bound)
     emit_equality_flag(circuit, regs["wxy"].qubits, pattern, regs["eflags"][0], anc)
     emit_equality_flag(circuit, regs["wyz"].qubits[:d], pattern, regs["eflags"][1], anc)
     emit_equality_flag(circuit, regs["wxz"].qubits[:d], pattern, regs["eflags"][2], anc)
@@ -419,7 +418,7 @@ def build_nwt_circuit(instance: NwtInstance, mode: str = MODE_QRAM) -> BuiltCirc
 
     circuit.begin_step("7")
     probe = regs["eflags"].qubits + regs["cmp"].qubits
-    emit_equality_flag(circuit, probe, BitString.from_int(0, 4), regs["hit"][0], anc)
+    emit_equality_flag(circuit, probe, 0, regs["hit"][0], anc)
     return _finish(instance, mode, circuit, "8")
 
 

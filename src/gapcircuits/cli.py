@@ -196,6 +196,8 @@ def _mutation_control_row(branch_cap: int) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.trials < 1:  # a sweep that checks nothing cannot pass
+        raise InstanceError(f"sweep --trials must be at least 1, got {args.trials}")
     started = time.monotonic()
     problems = list(SWEEP_CELLS) if args.problem == "all" else [args.problem]
     tasks = []
@@ -310,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sweep" and args.trials < 1:  # a sweep that checks nothing cannot pass
-        print(f"sweep --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except CapExceededError as exc:

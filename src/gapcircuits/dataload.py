@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ir import BitString, Circuit, CircuitError, MCBitmask, QramLoad, X
+from .ir import Circuit, CircuitError, MCBitmask, QramLoad, X
 
 
 @dataclass(frozen=True)
@@ -87,20 +87,19 @@ def emit_loader_unitary(circuit: Circuit, table: DataTable, address_qubits, data
     for address, value in table.entries:
         # The frame's gates are built once and replayed to undo it.
         frame = [X(q) for t, q in enumerate(address_qubits) if not (address >> t) & 1]
-        mask = BitString.from_int(value, table.data_width)
-        gates += (*frame, MCBitmask(address_qubits, mask, data_qubits, ancilla), *frame)
+        gates += (*frame, MCBitmask(address_qubits, value, data_qubits, ancilla), *frame)
     circuit.extend(gates)
 
 
-def emit_equality_flag(circuit: Circuit, qubits, pattern: BitString, flag: int,
+def emit_equality_flag(circuit: Circuit, qubits, pattern: int, flag: int,
                        ancilla: int) -> None:
-    """XOR [qubits == pattern] into the flag qubit.
+    """XOR [qubits == pattern] into the flag qubit; qubits[j] holds bit j.
 
     X frames the qubits whose pattern bit is 0 so the all-ones control
     fires exactly on a match; the frame is undone afterwards.
     """
     qubits = tuple(qubits)
-    if len(qubits) != pattern.width:
-        raise CircuitError(f"pattern width {pattern.width} does not match {len(qubits)} qubits")
-    frame = [X(q) for q, bit in zip(qubits, pattern.bits) if not bit]
-    circuit.extend([*frame, MCBitmask(qubits, BitString((1,)), (flag,), ancilla), *frame])
+    if pattern >> len(qubits):  # refuses negative patterns too: they shift down to -1
+        raise CircuitError(f"pattern {pattern} does not fit in {len(qubits)} qubits")
+    frame = [X(q) for j, q in enumerate(qubits) if not (pattern >> j) & 1]
+    circuit.extend([*frame, MCBitmask(qubits, 1, (flag,), ancilla), *frame])

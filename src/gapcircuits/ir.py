@@ -19,7 +19,8 @@ class CircuitError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class BitString:
-    """Immutable little-endian bit tuple; bits[0] is the least significant."""
+    """Immutable little-endian bit tuple, an ov instance's vector type;
+    bits[0] is the least significant."""
 
     bits: tuple[int, ...]
 
@@ -27,35 +28,12 @@ class BitString:
         if any(b not in (0, 1) for b in self.bits):
             raise CircuitError(f"bits must be 0 or 1, got {self.bits!r}")
 
-    @classmethod
-    def from_int(cls, value: int, width: int) -> BitString:
-        if width < 0:
-            raise CircuitError(f"negative width {width}")
-        if value < 0 or value >> width:
-            raise CircuitError(f"value {value} does not fit in {width} bits")
-        # The bits are 0/1 by construction, so __post_init__'s scan is skipped.
-        bits = object.__new__(cls)
-        object.__setattr__(bits, "bits", tuple([(value >> j) & 1 for j in range(width)]))
-        return bits
-
     def to_int(self) -> int:
         return sum(b << j for j, b in enumerate(self.bits))
 
     @property
     def width(self) -> int:
         return len(self.bits)
-
-    def popcount(self) -> int:
-        return sum(self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __getitem__(self, j: int) -> int:
-        return self.bits[j]
 
 
 @dataclass(frozen=True)
@@ -196,7 +174,7 @@ class Toffoli(_Gate):
 
 @dataclass(frozen=True, slots=True)
 class MCBitmask(_Gate):
-    """If all controls are 1, flip targets[j] for every j with mask[j] == 1.
+    """If all controls are 1, flip targets[j] for every j with bit j of mask set.
 
     `ancilla` names the borrowed work qubit charged by the cost model; the
     gate itself never changes it.  A zero mask over one or more targets is a
@@ -204,7 +182,7 @@ class MCBitmask(_Gate):
     """
 
     controls: tuple[int, ...]
-    mask: BitString
+    mask: int
     targets: tuple[int, ...]
     ancilla: int
     KEYWORD: ClassVar[str] = "MCB"
@@ -217,16 +195,20 @@ class MCBitmask(_Gate):
             raise CircuitError("MCBitmask needs at least one control")
         if not self.targets:  # the text format has no spelling for an empty mask
             raise CircuitError("MCBitmask needs at least one target")
-        if len(self.mask) != len(self.targets):
-            raise CircuitError(f"mask width {len(self.mask)} does not match "
-                               f"target count {len(self.targets)}")
+        # type() is int refuses bools, as Circuit.add does for wires; a
+        # negative int shifts down to -1, never to 0, so the shift refuses it.
+        if type(self.mask) is not int or self.mask >> len(self.targets):
+            raise CircuitError(f"mask {self.mask!r} does not fit {len(self.targets)} targets")
 
     def action(self) -> tuple:
-        return ("flip", self.controls, tuple([t for b, t in zip(self.mask.bits, self.targets) if b]))
+        mask = self.mask
+        return ("flip", self.controls,
+                tuple([t for j, t in enumerate(self.targets) if mask >> j & 1]))
 
     def text(self) -> str:
         wires = " ".join(map(str, (*self.controls, *self.targets)))
-        return f"{self.ancilla} {''.join(map(str, self.mask))} {len(self.controls)} {wires}"
+        maskbits = format(self.mask, f"0{len(self.targets)}b")[::-1]
+        return f"{self.ancilla} {maskbits} {len(self.controls)} {wires}"
 
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> MCBitmask:
@@ -238,12 +220,12 @@ class MCBitmask(_Gate):
         n_controls, wires = _int(tokens[2]), [_int(t) for t in tokens[3:]]
         if len(wires) != n_controls + len(maskbits):
             raise CircuitError("MCB wire count mismatch")
-        return cls(tuple(wires[:n_controls]), BitString(tuple(map(int, maskbits))),
+        return cls(tuple(wires[:n_controls]), int(maskbits[::-1], 2),
                    tuple(wires[n_controls:]), ancilla)
 
     def charge(self) -> tuple[str, int, int]:
         k = len(self.controls)
-        return "CCX", sum(self.mask.bits) * mcx_toffoli_cost(k), k
+        return "CCX", self.mask.bit_count() * mcx_toffoli_cost(k), k
 
 
 @dataclass(frozen=True, slots=True)

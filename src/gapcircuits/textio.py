@@ -13,9 +13,9 @@ Grammar (one directive per line; `#` starts a comment; blank lines ignored):
     gate <step> MCB <ancilla> <maskbits> <n_controls> <controls...> <targets...>
     gate <step> QRAM <table_id> <n_address> <address...> <n_data> <data...>
 
-`maskbits` is a 0/1 string written low bit first; qubit lists are
-little-endian (first qubit = low bit); each gate class in `ir.py` reads and
-writes its own operands.  Gates appear in execution order and keep their
+`maskbits` is the gate's int mask as a 0/1 string, one character per
+target, low bit first; qubit lists are little-endian (first qubit = low
+bit); each gate class in `ir.py` reads and writes its own operands.  Gates appear in execution order and keep their
 step tags, so parsing rebuilds an equal circuit.  The circuit, register,
 table and row lines precede the first gate line, so one pass over the lines
 checks each gate through `Circuit.add` as it reads it; every refusal caused

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gapcircuits.builders import InstanceError, OVInstance
 from gapcircuits.dataload import DataTable
 from gapcircuits.ir import (
-    CX, VOCABULARY, BitString, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit,
+    CX, VOCABULARY, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit,
 )
 from gapcircuits.verification import OracleCounts
 
@@ -39,8 +39,8 @@ def _draw_gate(data, circuit, kind, index):
         n_controls = data.draw(st.integers(1, n - 2))
         n_targets = data.draw(st.integers(1, n - 1 - n_controls))
         controls, targets = order[:n_controls], order[n_controls:n_controls + n_targets]
-        mask = data.draw(st.lists(st.integers(0, 1), min_size=n_targets, max_size=n_targets))
-        return MCBitmask(tuple(controls), BitString(tuple(mask)), tuple(targets), order[-1])
+        mask = data.draw(st.integers(0, (1 << n_targets) - 1))
+        return MCBitmask(tuple(controls), mask, tuple(targets), order[-1])
     width = data.draw(st.integers(1, min(3, n - 1)))
     data_width = data.draw(st.integers(1, min(3, n - width)))
     addresses = data.draw(st.sets(st.integers(0, (1 << width) - 1)))
@@ -82,8 +82,8 @@ def reference_word(circuit, word):
             word ^= ((word >> gate.control1) & (word >> gate.control2) & 1) << gate.target
         elif isinstance(gate, MCBitmask):
             if all((word >> c) & 1 for c in gate.controls):
-                for bit, t in zip(gate.mask, gate.targets):
-                    word ^= bit << t
+                for j, t in enumerate(gate.targets):
+                    word ^= ((gate.mask >> j) & 1) << t
         else:
             address = sum(((word >> q) & 1) << j for j, q in enumerate(gate.address))
             value = circuit.tables[gate.table_id].lookup(address)

@@ -28,7 +28,7 @@ from gapcircuits.verification import oracle_counts
 
 
 def _ov(n, d, fill=0):
-    vec = BitString.from_int(fill, d)
+    vec = BitString(tuple((fill >> j) & 1 for j in range(d)))
     return OVInstance(u=(vec,) * n, v=(vec,) * n)
 
 

@@ -254,6 +254,7 @@ def test_sweep_refuses_no_trials(capsys):
     for trials in ("0", "-1"):  # a sweep that checks nothing must not pass
         assert main(["sweep", "--trials", trials]) == 2
         captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
         assert "--trials" in captured.err
         assert captured.out == ""
 

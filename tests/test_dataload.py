@@ -12,7 +12,7 @@ from gapcircuits.dataload import (
     emit_qram_load,
     qram_semantics,
 )
-from gapcircuits.ir import BitString, CircuitError, new_circuit
+from gapcircuits.ir import CircuitError, new_circuit
 from gapcircuits.simulator import apply_gates
 
 
@@ -109,10 +109,9 @@ def test_loader_wire_width_mismatch():
 
 @pytest.mark.parametrize("pattern_int,width", [(0, 3), (5, 3), (7, 3), (0, 1), (1, 1)])
 def test_equality_flag_exhaustive(pattern_int, width):
-    pattern = BitString.from_int(pattern_int, width)
     circ = new_circuit([("q", width), ("flag", 1), ("anc", 1)])
     circ.begin_step("eq")
-    emit_equality_flag(circ, circ.reg("q").qubits, pattern, circ.reg("flag")[0],
+    emit_equality_flag(circ, circ.reg("q").qubits, pattern_int, circ.reg("flag")[0],
                        ancilla=circ.reg("anc")[0])
     words = np.arange(1 << circ.n_qubits, dtype=np.int64)
     done, _ = apply_gates(circ, words.copy())
@@ -126,5 +125,7 @@ def test_equality_flag_exhaustive(pattern_int, width):
 def test_equality_flag_width_mismatch():
     circ = new_circuit([("q", 2), ("flag", 1), ("anc", 1)])
     circ.begin_step("eq")
-    with pytest.raises(CircuitError):
-        emit_equality_flag(circ, circ.reg("q").qubits, BitString((1,)), 2, 3)
+    for pattern in (4, -1):  # wider than the two qubits, or negative
+        with pytest.raises(CircuitError):
+            emit_equality_flag(circ, circ.reg("q").qubits, pattern, 2, 3)
+    assert circ.gates == []

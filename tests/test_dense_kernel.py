@@ -22,7 +22,7 @@ from gapcircuits import simulator
 from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, build_circuit
 from gapcircuits.dataload import DataTable
 from gapcircuits.instancefile import generate_ov, generate_threesum
-from gapcircuits.ir import CX, BitString, H, MCBitmask, QramLoad, X, Z, new_circuit
+from gapcircuits.ir import CX, H, MCBitmask, QramLoad, X, Z, new_circuit
 from gapcircuits.simulator import (
     SimulationError,
     dense_acceptance,
@@ -88,7 +88,7 @@ def test_dense_zero_mask_and_missing_addresses():
     for q in (0, 1, 2):
         circuit.add(H(q))
     circuit.add(X(2))
-    circuit.add(MCBitmask((0,), BitString((0, 0)), (3, 4), 5))  # zero mask: identity
+    circuit.add(MCBitmask((0,), 0, (3, 4), 5))  # zero mask: identity
     table = circuit.add_table(DataTable("t", 2, 2, ((1, 3), (2, 0))))  # 0 and 3 missing
     circuit.add(QramLoad((0, 2), (3, 4), table))
     circuit.add(CX(3, 5))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, build_circuit
 from gapcircuits.instancefile import generate_nwt, generate_ov, generate_threesum
-from gapcircuits.ir import CX, CircuitError, H, X, new_circuit
+from gapcircuits.ir import CX, CircuitError, H, MCBitmask, X, new_circuit
 from gapcircuits.simulator import simulate_pathsum
 from gapcircuits.textio import (
     built_from_text,
@@ -154,17 +154,21 @@ def test_built_header_read_only_before_the_body():
 
 
 def test_repeated_lines_keep_their_steps():
-    circuit = new_circuit([("q", 3)])
+    circuit = new_circuit([("q", 6)])
     # a repeated line may sit between lines of another step, and the line
-    # after it may share its step or not
+    # after it may share its step or not; masks are written low bit first
+    high, low, zero = (MCBitmask((0,), mask, (1, 2, 3, 4), 5) for mask in (0b1000, 1, 0))
     for step, gate in (("s", H(0)), ("a", X(1)), ("b", CX(0, 2)), ("a", X(1)),
-                       ("a", X(2)), ("b", CX(0, 2)), ("a", X(1)), ("b", X(1))):
+                       ("a", X(2)), ("b", CX(0, 2)), ("a", X(1)), ("b", X(1)),
+                       ("c", high), ("c", low), ("a", high), ("c", zero)):
         circuit.begin_step(step)
         circuit.add(gate)
     text = circuit_to_text(circuit)
     back = circuit_from_text(text)
     assert back == circuit
-    assert back.steps == ["s", "a", "b", "a", "a", "b", "a", "b"]
+    assert back.steps == ["s", "a", "b", "a", "a", "b", "a", "b", "c", "c", "a", "c"]
+    assert [line.split()[4] for line in text.splitlines() if " MCB " in line] == [
+        "0001", "1000", "0001", "0000"]
     assert circuit_to_text(back) == text
 
 

@@ -72,7 +72,8 @@ def test_oracle_ov_matches_reference(data):
     pool = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=3))
     n = data.draw(st.integers(1, 12))
     vectors = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
-    u, v = (tuple(BitString.from_int(x, d) for x in data.draw(vectors)) for _ in range(2))
+    u, v = (tuple(BitString(tuple((x >> j) & 1 for j in range(d))) for x in data.draw(vectors))
+            for _ in range(2))
     instance = OVInstance(u=u, v=v)
     assert oracle_ov(instance) == reference_oracle(instance)
 
@@ -171,10 +172,10 @@ def test_tally_buckets_mcbitmask_into_ccx():
     circ = new_circuit([("q", 7)])
     circ.begin_step("s")
     # popcount(mask)=2 controlled flips on 4 controls: 2 * 8(4-3) primitives
-    circ.add(MCBitmask((0, 1, 2, 3), BitString((1, 1)), (4, 5), ancilla=6))
+    circ.add(MCBitmask((0, 1, 2, 3), 0b11, (4, 5), ancilla=6))
     assert tally_gates(circ) == {"s": {"CCX": 16}}
     # 1-control masks are plain CXs but stay in the CCX bucket for bound checks
-    circ.add(MCBitmask((0,), BitString((1,)), (4,), ancilla=6))
+    circ.add(MCBitmask((0,), 1, (4,), ancilla=6))
     assert tally_gates(circ)["s"]["CCX"] == 17
 
 
@@ -182,7 +183,7 @@ def test_tally_buckets_mcbitmask_into_ccx():
 @given(data=st.data())
 def test_tally_matches_reference(data):
     circuit = random_circuit(data, data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3)))
-    circuit.add(MCBitmask((0,), BitString((0, 0)), (1, 2), 3))  # charges 0
+    circuit.add(MCBitmask((0,), 0, (1, 2), 3))  # charges 0
     # equal labels need not be one object, as when a circuit is read from text
     label = st.sampled_from(["s1", "s2", "s3"]).flatmap(
         lambda s: st.sampled_from([s, s[:1] + s[1:]]))
