@@ -135,7 +135,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.backend in ("dense", "both"):
         dense_value = dense_acceptance(built.circuit,
                                        simulate_dense(built.circuit, cap=args.dense_cap))
-        report["dense"] = {"p_acc": dense_value}
+        report["dense"] = {"p_acc": float(dense_value)}
     if args.backend == "both":
         report["agree"] = dense_agrees(dense_value, outcome)
 

@@ -25,7 +25,8 @@ class BitString:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        # type(b) is int refuses bools, which the instance file cannot read back.
+        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
             raise CircuitError(f"bits must be 0 or 1, got {self.bits!r}")
 
     def to_int(self) -> int:

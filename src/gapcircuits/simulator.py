@@ -16,14 +16,14 @@ column into the sign column, and a table lookup gathers from the table by
 the unpacked address bits.  The accepted count and signed sum are popcounts
 of the accepted-branch column, so they stay exact.
 
-Dense backend: a literal statevector simulation on a real float64 array,
-one axis per qubit, that reads the IR gates directly, applies explicit
-Hadamards to the X-measured qubits at the end and reads the all-zero
-amplitudes.  It shares no lowering and no acceptance math with the
-path-sum backend, which is what makes the agreement check meaningful.
+Dense backend: a literal statevector simulation, one axis per qubit, that
+reads the IR gates directly.  It holds int8 signed counts, the amplitudes
+times 2^(h/2), and reads the all-zero outcome's probability as an exact
+rational.  It shares no lowering and no acceptance math with the path-sum
+backend, which is what makes the exact agreement check meaningful.
 
-Both backends read each gate's action (a flip of targets under controls, a
-phase flip, a Hadamard or a table load) from the gate table in `ir.py`, and
+Both backends read each body gate's action (a flip of targets under
+controls, a phase flip or a table load) from the gate table in `ir.py`, and
 the path-sum backend lowers it straight to qubit indices.  Only
 `apply_gates`'s int64 basis words limit the path-sum width, and the backend
 keeps an explicit 62-qubit cap; the dense backend has a much smaller one.
@@ -48,7 +48,6 @@ BRANCH_CAP_DEFAULT = 24
 # 3sum n=64 U=1000, 65 qubits, being refused; lifting it means moving that
 # test to another cap in the same change.
 _WORD_QUBIT_CAP = 62
-_SQRT_HALF = np.sqrt(0.5)
 _VARYING = "unmeasured qubits vary over the accepted branches; the path sum cannot add them"
 
 
@@ -71,6 +70,16 @@ class SimOutcome:
     p_acc: Fraction
 
 
+def _body_kinds(gates: list) -> set[type]:
+    kinds = set(map(type, gates))
+    if not VOCABULARY.issuperset(kinds):
+        gate = next(g for g in gates if type(g) not in VOCABULARY)
+        raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
+    if H in kinds:
+        raise SimulationError("H is not a basis-state permutation")
+    return kinds
+
+
 def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
     """Lower gates[start:] to the column kernel's ops, which are the gates' actions.
 
@@ -80,13 +89,7 @@ def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
     if circuit.n_qubits > _WORD_QUBIT_CAP:
         raise CapExceededError(
             f"{circuit.n_qubits} qubits exceed the {_WORD_QUBIT_CAP}-qubit word cap")
-    gates = circuit.gates[start:]
-    kinds = set(map(type, gates))
-    if not VOCABULARY.issuperset(kinds):
-        gate = next(g for g in gates if type(g) not in VOCABULARY)
-        raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
-    if H in kinds:
-        raise SimulationError("H is not a basis-state permutation")
+    kinds = _body_kinds(gates := circuit.gates[start:])
     ops = [gate.action() for gate in gates]
     if QramLoad not in kinds:
         return ops
@@ -293,34 +296,29 @@ def _flip(view: np.ndarray, targets) -> None:
 
 
 def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Full statevector after the circuit body, index bit q holding qubit q.
+    """Full state after the circuit body as int8 counts, the amplitudes times 2^(h/2).
 
-    Real float64 of shape (2,)*n, qubit q on axis n-1-q, returned flat.  Each
-    gate acts in place on the view that pins its controls to 1.  A flip
-    with no controls moves no data: it toggles its targets' bits of
-    `frame`, which marks the axes held flipped until the end.
+    Shape (2,)*n, qubit q on axis n-1-q, returned flat.  The H layer is one
+    store of 1 into the 2^h words whose other qubits are 0.  A body gate acts in
+    place on the view pinning its controls; a flip with none toggles `frame`.
     """
     n = circuit.n_qubits
     check_dense_cap(n, cap)
-    psi = np.zeros((2,) * n)
-    psi[(0,) * n] = 1.0
+    h_targets = _h_prefix(circuit)
+    _body_kinds(body := circuit.gates[len(h_targets):])
+    psi = np.zeros((2,) * n, dtype=np.int8)
+    _pinned(psi, ((q, 0) for q in range(n) if q not in h_targets))[...] = 1
     frame = 0
-    for gate in circuit.gates:
-        if type(gate) not in VOCABULARY:
-            raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
+    for gate in body:
         op = gate.action()
-        kind = op[0]
-        if kind == "flip":
+        if op[0] == "flip":
             _, controls, targets = op
             if controls:
                 _flip(_pinned(psi, ((c, 1) for c in controls), frame), targets)
             else:
                 frame ^= sum(1 << t for t in targets)
-        elif kind == "z":
+        elif op[0] == "z":
             _pinned(psi, ((op[1], 1),), frame)[...] *= -1
-        elif kind == "h":
-            a, b = (_pinned(psi, ((op[1], bit),), frame) for bit in (0, 1))
-            a[...], b[...] = (a + b) * _SQRT_HALF, (a - b) * _SQRT_HALF
         else:
             _, address, data, table_id = op
             # Addresses missing from the table load 0: nothing to flip.
@@ -332,22 +330,24 @@ def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndar
     return psi.reshape(-1)
 
 
-def dense_acceptance(circuit: Circuit, state: np.ndarray) -> float:
-    """Probability of the all-zero outcome on the measured qubits.
+def dense_acceptance(circuit: Circuit, state: np.ndarray) -> Fraction:
+    """Exact probability of the all-zero outcome: sum(kept^2) / 2^(h + #x).
 
-    Applies literal Hadamards to every X-measured qubit, computing only the
-    |0> half that is read, into a new array, and sums the squared amplitudes
-    with every measured qubit at 0.
+    `kept` is an int64 copy of the Z-projected counts; each X-measured qubit's
+    Hadamard, less its 1/sqrt(2), keeps the |0> half as a+b and so at most
+    doubles `simulate_dense`'s 0/+-1 counts: the sum is at most 2^(n-#z+#x).
     """
     plan = circuit.measurement
     if plan is None:
         raise SimulationError("circuit has no measurement plan")
     if len(plan.unmeasured) > 20:
         raise CapExceededError("too many unmeasured qubits to marginalize")
-    if state.size != 1 << circuit.n_qubits:
-        raise SimulationError(f"{state.size} amplitudes are not a {circuit.n_qubits}-qubit state")
-    kept = _pinned(state.reshape((2,) * circuit.n_qubits), ((q, 0) for q in plan.z_qubits))
+    n = circuit.n_qubits
+    if (bits := n - len(plan.z_qubits) + len(plan.x_qubits)) > 62:
+        raise CapExceededError(f"a sum of up to 2^{bits} overflows int64")
+    if state.dtype != np.int8 or state.size != 1 << n:
+        raise SimulationError(f"{state.size} {state.dtype} values are not {n}-qubit int8 counts")
+    kept = _pinned(state.reshape((2,) * n), ((q, 0) for q in plan.z_qubits)).astype(np.int64)
     for q in plan.x_qubits:
-        kept = (_pinned(kept, ((q, 0),)) + _pinned(kept, ((q, 1),))) * _SQRT_HALF
-    return float(np.vdot(kept, kept).real)
-
+        kept = _pinned(kept, ((q, 0),)) + _pinned(kept, ((q, 1),))
+    return Fraction(int(np.vdot(kept, kept)), 1 << (circuit.h_layer_size + len(plan.x_qubits)))

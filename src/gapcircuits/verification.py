@@ -11,12 +11,11 @@ built circuit with the exact path-sum backend and demands
 
 as a rational-number equality, plus |signed_sum| == |gap|, the closed-form
 qubit count, and per-step gate budgets.  The dense backend can be added as
-an independent floating-point cross-check.
+an independent cross-check whose exact p_acc must equal the path sum's.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,10 +49,12 @@ from .simulator import (
     simulate_pathsum,
 )
 
+# The dense p_acc is an exact Fraction that must equal the path sum's.  The
+# two bounds are checked as well and reported: DENSE_TOLERANCE alone would
+# accept almost anything far below it (nwt reaches 8e-11), while at the
+# scale of the exact numerator, p * 2^k against signed_sum^2, the second
+# also ties p_acc to the outcome's own signed_sum and exponent.
 DENSE_TOLERANCE = 1e-9
-# p_acc can be far below DENSE_TOLERANCE (nwt reaches 8e-11), where the
-# absolute bound accepts almost anything; at the scale of the exact
-# numerator, p * 2^k against signed_sum^2, the bound keeps its meaning.
 DENSE_SCALED_TOLERANCE = 1e-6
 
 
@@ -122,14 +123,15 @@ def oracle_counts(instance: Instance) -> OracleCounts:
     return family_lookup(_ORACLES, instance)(instance)
 
 
-def dense_agrees(dense_value: float, outcome: SimOutcome) -> bool:
+def dense_agrees(dense_value: Fraction, outcome: SimOutcome) -> bool:
     """Whether a dense p_acc matches the exact path-sum outcome.
 
-    It must pass |dense - p_acc| <= DENSE_TOLERANCE and
+    It must equal p_acc and pass |dense - p_acc| <= DENSE_TOLERANCE and
     |dense * 2^exponent - signed_sum^2| <= DENSE_SCALED_TOLERANCE.
     """
-    scaled = math.ldexp(dense_value, outcome.exponent) - outcome.signed_sum ** 2
-    return (abs(dense_value - float(outcome.p_acc)) <= DENSE_TOLERANCE
+    scaled = dense_value * (1 << outcome.exponent) - outcome.signed_sum ** 2
+    return (dense_value == outcome.p_acc
+            and abs(dense_value - outcome.p_acc) <= DENSE_TOLERANCE
             and abs(scaled) <= DENSE_SCALED_TOLERANCE)
 
 
@@ -266,7 +268,7 @@ class VerifyResult:
     n_qubits: int
     qubits_ok: bool
     gates: GateCountReport
-    dense_value: float | None
+    dense_value: Fraction | None
     dense_ok: bool | None
 
     @property
@@ -312,7 +314,7 @@ class VerifyResult:
         if self.dense_value is None:
             rows.append((None, "dense", None))
         else:
-            rows += [("dense.p_acc", "dense.p_acc", self.dense_value),
+            rows += [("dense.p_acc", "dense.p_acc", float(self.dense_value)),
                      (None, "dense.tolerance", DENSE_TOLERANCE),
                      ("dense.agree", "dense.ok", self.dense_ok)]
         rows.append(("overall", "ok", self.ok))
@@ -338,7 +340,7 @@ def verify_built(instance: Instance, built: BuiltCircuit, *, with_dense: bool = 
     counts = oracle_counts(instance)
     outcome = simulate_pathsum(built.circuit, branch_cap=branch_cap, jobs=jobs)
     predicted = predicted_pacc(built.problem, built.r, built.d, counts.gap)
-    dense_value: float | None = None
+    dense_value: Fraction | None = None
     dense_ok: bool | None = None
     if with_dense:
         dense_value = dense_acceptance(built.circuit, simulate_dense(built.circuit, cap=dense_cap))

@@ -10,8 +10,9 @@ Criterion map:
       distinct values than exist are impossible and noted, not tested)
    3  nwt identity, n in {2..6}, bound in {1,2,3}
    4  p_acc = 0 exactly iff the oracle gap is 0
-   5  dense vs path-sum within 1e-9 on 100+ instances of at most 22 qubits,
-      and within 1e-6 once both are scaled by 2^k
+   5  dense and path-sum p_acc equal as exact rationals on 100+ instances
+      of at most 22 qubits, hence within 1e-9, and within 1e-6 once both
+      are scaled by 2^k
    6  qubit-count formulas hold exactly
    7  per-step gate counts within the closed-form bounds; standalone
       arithmetic tallies exact
@@ -20,7 +21,6 @@ Criterion map:
   10  a circuit with one deleted gate is caught by the identity check
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -169,9 +169,10 @@ def test_criterion_05_backend_agreement():
                 built = build_circuit(inst, mode)
                 outcome = simulate_pathsum(built.circuit)
                 dense = dense_acceptance(built.circuit, simulate_dense(built.circuit))
-                gap_err = abs(dense - float(outcome.p_acc))
+                assert dense == outcome.p_acc, (params, mode, dense, outcome.p_acc)
+                gap_err = abs(dense - outcome.p_acc)
                 # p_acc * 2^k is the exact integer signed_sum^2
-                scaled_err = abs(math.ldexp(dense, outcome.exponent) - outcome.signed_sum ** 2)
+                scaled_err = abs(dense * 2 ** outcome.exponent - outcome.signed_sum ** 2)
                 worst = max(worst, gap_err)
                 worst_scaled = max(worst_scaled, scaled_err)
                 assert gap_err <= 1e-9, (params, mode, gap_err)
@@ -179,8 +180,9 @@ def test_criterion_05_backend_agreement():
                 circuits += 1
     assert instances >= 100
     print(f"criterion 5 (backend agreement): pass -- {instances} instances "
-          f"({circuits} circuits) within 22 qubits, worst |dense-pathsum| = {worst:.2e}, "
-          f"worst |dense*2^k - signed_sum^2| = {worst_scaled:.2e}")
+          f"({circuits} circuits) within 22 qubits, dense == pathsum exactly, "
+          f"worst |dense-pathsum| = {float(worst):.2e}, "
+          f"worst |dense*2^k - signed_sum^2| = {float(worst_scaled):.2e}")
 
 
 def _formula_grid():

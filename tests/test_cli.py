@@ -106,7 +106,7 @@ pathsum.branches: 16
 pathsum.accepted: 9
 pathsum.p_acc: 49/131072
 pathsum.p_acc_float: 0.00037384033203125
-dense.p_acc: 0.00037384033203125027
+dense.p_acc: 0.00037384033203125
 agree: pass
 """
 
@@ -114,7 +114,7 @@ SIMULATE_BOTH_JSON = """\
 {
   "agree": true,
   "dense": {
-    "p_acc": 0.00037384033203125027
+    "p_acc": 0.00037384033203125
   },
   "exponent": 17,
   "mode": "qram",
@@ -132,8 +132,7 @@ SIMULATE_BOTH_JSON = """\
 
 
 def test_simulate_both_bytes_are_pinned(tmp_path, capsys):
-    # Only the ancilla is unmeasured and it ends at 0, so the dense sum has
-    # one nonzero term and its last digit does not depend on summation order.
+    # The dense p_acc is exact, so it prints as the path sum's float does.
     inst = tmp_path / "inst.json"
     report = tmp_path / "report.json"
     main(["gen", "ov", "-n", "3", "-d", "2", "--seed", "4", "--out", str(inst)])

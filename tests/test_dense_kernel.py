@@ -1,17 +1,18 @@
 """Differential test of the dense statevector kernel.
 
 Random circuits of at most 8 qubits run through `simulate_dense` and
-through the per-branch interpreter of `reference_interpreter`: the
-amplitude at each basis word must be the sum of sign * 2^(-h/2) over the
-Hadamard branches that land on it.  `dense_acceptance` must match the
-acceptance probability marginalized from those amplitudes, and the exact
-path-sum probability whenever the path-sum backend returns one (it refuses
-circuits whose unmeasured qubits end in more than one state over the
-accepted branches).  The dense backend must not depend on the lowering that
-the path-sum backend uses.
+through the per-branch interpreter of `reference_interpreter`: the int8
+count at each basis word must equal the sum of the signs of the Hadamard
+branches that land on it.  `dense_acceptance` must equal the acceptance
+probability marginalized from those counts, and the exact path-sum
+probability whenever the path-sum backend returns one (it refuses circuits
+whose unmeasured qubits end in more than one state over the accepted
+branches).  Every comparison is exact.  The dense backend must not depend
+on the lowering that the path-sum backend uses.
 """
 
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,44 +32,47 @@ from gapcircuits.simulator import (
 )
 from reference_interpreter import random_circuit, reference_word
 
-TOLERANCE = 1e-12
 
+def _reference_counts(circuit):
+    """Per basis word, the signs summed over the branches that land on it.
 
-def _reference_amplitudes(circuit):
-    """Per basis word, sign * 2^(-h/2) summed over the branches that land on it."""
+    The amplitude there is this count times 2^(-h/2).
+    """
     h_targets = [g.target for g in circuit.gates[:circuit.h_layer_size]]
-    amplitudes = np.zeros(1 << circuit.n_qubits)
+    counts = [0] * (1 << circuit.n_qubits)
     for branch in range(1 << len(h_targets)):
         word = sum(((branch >> t) & 1) << q for t, q in enumerate(h_targets))
         word, sign = reference_word(circuit, word)
-        amplitudes[word] += sign * 2.0 ** (-len(h_targets) / 2)
-    return amplitudes
+        counts[word] += sign
+    return counts
 
 
-def _reference_acceptance(circuit, amplitudes):
+def _reference_acceptance(circuit, counts):
     """Sum over unmeasured assignments of the squared amplitude onto |0>^z |+>^x."""
     plan = circuit.measurement
-    projected = defaultdict(float)
-    for word, amplitude in enumerate(amplitudes):
+    projected = defaultdict(int)
+    for word, count in enumerate(counts):
         if not any((word >> q) & 1 for q in plan.z_qubits):
-            projected[tuple((word >> q) & 1 for q in plan.unmeasured)] += amplitude
-    return sum(a * a for a in projected.values()) / 2 ** len(plan.x_qubits)
+            projected[tuple((word >> q) & 1 for q in plan.unmeasured)] += count
+    return Fraction(sum(c * c for c in projected.values()),
+                    2 ** (circuit.h_layer_size + len(plan.x_qubits)))
 
 
 def _check_against_reference(circuit):
     state = simulate_dense(circuit)
-    assert state.dtype == np.float64 and state.shape == (1 << circuit.n_qubits,)
-    amplitudes = _reference_amplitudes(circuit)
-    np.testing.assert_allclose(state, amplitudes, rtol=0, atol=TOLERANCE)
+    assert state.dtype == np.int8 and state.shape == (1 << circuit.n_qubits,)
+    counts = _reference_counts(circuit)
+    assert np.array_equal(state, counts)
     before = state.copy()
     p_acc = dense_acceptance(circuit, state)
     assert np.array_equal(state, before)  # the caller's state is left as it was
-    assert abs(p_acc - _reference_acceptance(circuit, amplitudes)) <= TOLERANCE
+    assert type(p_acc) is Fraction
+    assert p_acc == _reference_acceptance(circuit, counts)
     try:
         exact = simulate_pathsum(circuit).p_acc
     except SimulationError:
         return
-    assert abs(p_acc - float(exact)) <= TOLERANCE
+    assert p_acc == exact
 
 
 @pytest.mark.parametrize("h", [0, 1, 3, 5])
@@ -97,12 +101,16 @@ def test_dense_zero_mask_and_missing_addresses():
     _check_against_reference(circuit)
 
 
-def test_dense_hadamard_reads_flipped_qubit():
-    # X then H gives (|0> - |1>)/sqrt(2); add() refuses this order, so append directly.
+def test_backends_refuse_hadamard_after_flip():
+    # add() refuses an H after another gate, so append directly: an H outside
+    # the leading layer is not a basis-state permutation for either backend.
     circuit = new_circuit([("q", 2)])
     circuit.gates += [X(1), H(1)]
-    state = simulate_dense(circuit)
-    np.testing.assert_allclose(state, [np.sqrt(0.5), 0, -np.sqrt(0.5), 0], rtol=0, atol=TOLERANCE)
+    circuit.set_measurement((0,), (1,))
+    with pytest.raises(SimulationError, match="H is not a basis-state permutation"):
+        simulate_dense(circuit)
+    with pytest.raises(SimulationError, match="H is not a basis-state permutation"):
+        simulate_pathsum(circuit)
 
 
 @pytest.mark.parametrize("instance, mode", [
@@ -118,5 +126,5 @@ def test_dense_does_not_use_pathsum_lowering(monkeypatch, instance, mode):
 
     monkeypatch.setattr(simulator, "_compile_ops", refuse)
     p_acc = dense_acceptance(circuit, simulate_dense(circuit))
-    assert abs(p_acc - float(outcome.p_acc)) <= TOLERANCE
-    assert abs(p_acc * 2 ** outcome.exponent - outcome.signed_sum ** 2) <= 1e-6
+    assert p_acc == outcome.p_acc
+    assert p_acc * 2 ** outcome.exponent == outcome.signed_sum ** 2

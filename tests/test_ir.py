@@ -18,7 +18,7 @@ from gapcircuits.ir import (
     mcx_toffoli_cost,
     new_circuit,
 )
-from gapcircuits.builders import InstanceError
+from gapcircuits.builders import InstanceError, OVInstance
 from gapcircuits.dataload import DataTable
 from gapcircuits.simulator import SimulationError, simulate_dense, simulate_pathsum
 from gapcircuits.textio import circuit_to_text
@@ -41,6 +41,12 @@ def test_bitstring_round_trip_property(value, width):
 def test_bitstring_rejects_bad_bits():
     with pytest.raises(CircuitError):
         BitString((0, 2))
+
+
+def test_ov_instance_refuses_bool_bits():
+    # instance_to_text would write [[true, 0]], which instance_from_text refuses
+    with pytest.raises(CircuitError):
+        OVInstance(u=(BitString((True, 0)),), v=(BitString((0, 1)),))
 
 
 def test_register_layout():

@@ -45,20 +45,25 @@ def test_pathsum_micro_minus_state():
     assert out.signed_sum == 0
     assert out.n_accepted == 2
     assert out.p_acc == 0
-    assert dense_acceptance(circ, simulate_dense(circ)) == pytest.approx(0.0, abs=1e-15)
+    assert dense_acceptance(circ, simulate_dense(circ)) == 0
+
+
+def _unscaled_norm(state):
+    """sum(state^2) of int8 counts: 2^h times the squared norm of the amplitudes."""
+    return int(np.square(state, dtype=np.int64).sum())
 
 
 def test_dense_micro_bell():
     circ = _bell_like()
     state = simulate_dense(circ)
-    np.testing.assert_allclose(np.vdot(state, state), 1.0, atol=1e-12)
-    assert dense_acceptance(circ, state) == pytest.approx(0.25, abs=1e-12)
+    assert _unscaled_norm(state) == 2 ** circ.h_layer_size
+    assert dense_acceptance(circ, state) == Fraction(1, 4)
 
 
 def test_dense_norm_preserved_on_built_circuit():
     built = build_circuit(generate_ov(3, 2, seed=1), MODE_EXPLICIT)
     state = simulate_dense(built.circuit)
-    assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-10)
+    assert _unscaled_norm(state) == 2 ** built.circuit.h_layer_size
 
 
 @pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
@@ -70,7 +75,7 @@ def test_backends_agree_on_small_instances(mode):
     for built in cases:
         pathsum = simulate_pathsum(built.circuit)
         dense = dense_acceptance(built.circuit, simulate_dense(built.circuit))
-        assert abs(float(pathsum.p_acc) - dense) <= 1e-9
+        assert dense == pathsum.p_acc
 
 
 def test_chunking_and_jobs_do_not_change_the_outcome():
@@ -101,10 +106,24 @@ def test_dense_acceptance_marginal_cap():
 
 def test_dense_acceptance_rejects_mis_sized_state():
     circ = _bell_like()
-    for size in (2, 8):
+    # wrong sizes, and float amplitudes in place of int8 counts
+    for state in (np.zeros(2, dtype=np.int8), np.zeros(8, dtype=np.int8), np.zeros(4)):
         with pytest.raises(SimulationError) as raised:
-            dense_acceptance(circ, np.zeros(size))
+            dense_acceptance(circ, state)
         assert not isinstance(raised.value, CapExceededError)
+
+
+def test_dense_acceptance_overflow_boundary():
+    # sum(kept^2) <= 2^(n - #z + #x): 2^62 fits int64, 2^63 is refused.  Both
+    # plans are checked before the state, so a one-count state is enough.
+    circ = new_circuit([("q", 32)])
+    circ.set_measurement((0,), tuple(range(1, 32)))
+    with pytest.raises(SimulationError) as raised:
+        dense_acceptance(circ, np.zeros(1, dtype=np.int8))
+    assert not isinstance(raised.value, CapExceededError)
+    circ.set_measurement((), tuple(range(31)), (31,))
+    with pytest.raises(CapExceededError, match="2\\^63"):
+        dense_acceptance(circ, np.zeros(1, dtype=np.int8))
 
 
 def test_missing_measurement_plan():

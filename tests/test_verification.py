@@ -107,6 +107,7 @@ def test_verify_frozen_examples(mode):
 def test_verify_with_dense_cross_check():
     result = verify_instance(generate_ov(3, 2, seed=2), MODE_EXPLICIT, with_dense=True)
     assert result.dense_ok is True
+    assert result.dense_value == result.outcome.p_acc
     assert result.ok
 
 
@@ -235,10 +236,16 @@ def test_dense_agreement_is_scale_aware():
     # p_acc = 1/2^40 ~ 9.1e-13: an absolute 1e-9 bound alone accepts 0 or half of it
     outcome = SimOutcome(signed_sum=1, exponent=40, n_branches=2, n_accepted=1,
                          p_acc=Fraction(1, 1 << 40))
-    assert dense_agrees(2.0 ** -40, outcome)
-    assert dense_agrees(2.0 ** -40 * (1 + 1e-9), outcome)
-    assert not dense_agrees(2.0 ** -41, outcome)
-    assert not dense_agrees(0.0, outcome)
+    assert dense_agrees(Fraction(1, 1 << 40), outcome)
+    assert dense_agrees(2.0 ** -40, outcome)  # the same value as a float
+    # agreement is exact: a relative error of 1e-9 fails
+    assert not dense_agrees(Fraction(1, 1 << 40) * (1 + Fraction(1, 10 ** 9)), outcome)
+    assert not dense_agrees(Fraction(1, 1 << 41), outcome)
+    assert not dense_agrees(Fraction(0), outcome)
     # the absolute bound still applies when p_acc is large
     big = SimOutcome(signed_sum=1, exponent=0, n_branches=1, n_accepted=1, p_acc=Fraction(1))
     assert not dense_agrees(1.0 + 1e-8, big)
+    # the scaled bound ties the value to signed_sum^2 / 2^exponent, even when it equals p_acc
+    skewed = SimOutcome(signed_sum=2, exponent=40, n_branches=2, n_accepted=1,
+                        p_acc=Fraction(1, 1 << 40))
+    assert not dense_agrees(Fraction(1, 1 << 40), skewed)
