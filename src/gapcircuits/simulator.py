@@ -16,6 +16,24 @@ column into the sign column, and a table lookup gathers from the table by
 the unpacked address bits.  The accepted count and signed sum are popcounts
 of the accepted-branch column, so they stay exact.
 
+Above one default chunk of 2^16 branches (h > 16, the `_FLAT_MAX_H` rule),
+each column keeps its support: the branch variables, that is Hadamard bits,
+it may depend on.  A column over k variables is an int of 2^k bits, bit i
+holding the value at the assignment i of those variables, lowest first.
+Supports are fixed in the lowering: a flip's targets gain its controls'
+supports, a load's data its address's, and a phase flip adds to the sign
+column's.  Where supports meet, the lowering inserts a "widen" op, which
+broadcasts a column over new variables by repeating whole blocks of its
+packed bits; a flip that undoes an earlier one copies saved columns back,
+so a register restored by uncomputation narrows again.  A loader over
+register i then works on 2^r bits, not 2^h.  The readout widens the
+Z-measured, unmeasured and sign columns to their common support, and each
+of their bits stands for 2^(h - |support|) branches.  In this regime a
+chunk fixes only the variables from `_SUPPORT_FREE_VARS` = 20 up, so no
+column passes 2^20 bits (128 KB) and circuits of up to 2^20 branches run
+as one chunk.  Circuits with h <= 16 keep the flat lowering: there, the
+support bookkeeping costs more than it saves.
+
 Dense backend: a literal statevector simulation, one axis per qubit, that
 reads the IR gates directly.  It holds int8 signed counts, the amplitudes
 times 2^(h/2), and reads the all-zero outcome's probability as an exact
@@ -31,9 +49,11 @@ keeps an explicit 62-qubit cap; the dense backend has a much smaller one.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
@@ -48,6 +68,12 @@ BRANCH_CAP_DEFAULT = 24
 # 3sum n=64 U=1000, 65 qubits, being refused; lifting it means moving that
 # test to another cap in the same change.
 _WORD_QUBIT_CAP = 62
+# Circuits whose branches fit in one default chunk (h <= 16) keep the flat
+# lowering, which is cheaper there; above it columns track their supports.
+_CHUNK_DEFAULT = 1 << 16
+_FLAT_MAX_H = _CHUNK_DEFAULT.bit_length() - 1
+# A support-regime chunk fixes only the branch variables from this one up.
+_SUPPORT_FREE_VARS = 20
 _VARYING = "unmeasured qubits vary over the accepted branches; the path sum cannot add them"
 
 
@@ -84,28 +110,223 @@ def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
     """Lower gates[start:] to the column kernel's ops, which are the gates' actions.
 
     A table load becomes ("qram", address, data, bits): one 0/1 row of
-    `bits`, indexed by address, per data qubit that some entry sets.
+    `bits`, indexed by address, per data qubit that some entry sets.  With
+    `start` Hadamards of the support regime, the ops are then rewritten by
+    `_track_supports`.
     """
     if circuit.n_qubits > _WORD_QUBIT_CAP:
         raise CapExceededError(
             f"{circuit.n_qubits} qubits exceed the {_WORD_QUBIT_CAP}-qubit word cap")
     kinds = _body_kinds(gates := circuit.gates[start:])
-    ops = [gate.action() for gate in gates]
-    if QramLoad not in kinds:
-        return ops
+    ops = lowered = [gate.action() for gate in gates]
+    if QramLoad in kinds:
+        lowered = []
+        for op in ops:
+            if op[0] == "qram":
+                _, address, data, table_id = op
+                entries = np.array(circuit.tables[table_id].entries, dtype=np.int64).reshape(-1, 2)
+                bits = np.zeros((len(data), 1 << len(address)), dtype=np.uint8)
+                bits[:, entries[:, 0]] = entries[:, 1] >> np.arange(len(data))[:, None] & 1
+                kept = np.flatnonzero(bits.any(axis=1))
+                if not len(kept):
+                    continue
+                op = ("qram", address, [data[j] for j in kept], bits[kept])
+            lowered.append(op)
+    return lowered if start <= _FLAT_MAX_H else _track_supports(lowered, circuit, start)
+
+
+def _slots(n_qubits: int) -> tuple[int, int, int]:
+    """Support-regime column slots past the qubits: the sign column,
+    all-ones columns of 0.._SUPPORT_FREE_VARS variables, and one operand
+    temporary per qubit.  Saved columns follow, and the all-ones readout
+    column, written by the last op, comes last."""
+    ones = n_qubits + 1
+    return n_qubits, ones, ones + _SUPPORT_FREE_VARS + 1
+
+
+def _undo_pairs(flips: list[tuple]) -> dict[int, int]:
+    """{i: j} for each controlled flip i that returns all its targets to their values before j.
+
+    That holds when both flips have the same controls and targets, every
+    target still holds what j wrote, and every control holds what it held
+    at j.  Values are tracked as versions, so the pairing depends on no
+    column's value: a write takes a fresh even version, a flip without
+    controls toggles the low bit, and an undo restores the version before.
+    Each qubit keeps its last 16 writes; an undo of an older one is missed,
+    which costs width but never exactness.
+    """
+    version: dict[int, int] = {}
+    written: dict[int, deque] = {}  # per qubit: (writer, control versions, before, after)
+    fresh = count(2, 2)
+    pairs = {}
+    for i, (kind, controls, targets) in enumerate(flips):
+        if not controls:
+            for t in targets:
+                version[t] = version.get(t, 0) ^ 1
+            continue
+        held = tuple([version.get(c, 0) for c in controls])
+        if kind == "flip" and (stack := written.get(targets[0])):
+            j = stack[-1][0]
+            if flips[j][1:] == (controls, targets):
+                for t in targets:
+                    top = written[t][-1]
+                    if top[0] != j or top[1] != held or top[3] != version[t]:
+                        break
+                else:
+                    pairs[i] = j
+                    for t in targets:
+                        version[t] = written[t].pop()[2]
+                    continue
+        for t in targets:
+            if t not in written:
+                written[t] = deque(maxlen=16)
+            after = next(fresh)
+            written[t].append((i, held, version.get(t, 0), after))
+            version[t] = after
+    return pairs
+
+
+def _track_supports(ops: list[tuple], circuit: Circuit, h: int) -> list[tuple]:
+    """Rewrite flat ops so each column spans only the branch variables it depends on.
+
+    Variable t is bit t of the branch index, the Hadamard on gates[t]'s
+    target; those from _SUPPORT_FREE_VARS up are fixed per chunk.  Every
+    operand of a flip or load is widened to the union of the op's supports:
+    targets in place, controls in place below full support and into a
+    temporary at full support, so that no full-width copy outlives its op.
+    A flip without controls reads an all-ones column, and a phase flip is
+    a flip of the sign column.  When a flip that widens a target is undone
+    later (see `_undo_pairs`), its targets' columns are saved before it and
+    the undo becomes copies back, so their supports shrink again.  The op
+    list ends by widening the Z-measured, unmeasured and sign columns to
+    their union and writing its all-ones column into the last slot.
+    """
+    n, free = circuit.n_qubits, min(h, _SUPPORT_FREE_VARS)
+    sign, ones, temp = _slots(n)
+    support = [0] * (temp + n)
+    for t, gate in enumerate(circuit.gates[:free]):
+        support[gate.target] = 1 << t
+    full = (1 << free) - 1
+    all_ones = {0: (ones,)}  # variable count -> the slot of its all-ones column
+    negations = {}  # (variable count, targets) -> one shared op for every such X
     lowered = []
-    for op in ops:
-        if op[0] == "qram":
-            _, address, data, table_id = op
-            entries = np.array(circuit.tables[table_id].entries, dtype=np.int64).reshape(-1, 2)
-            bits = np.zeros((len(data), 1 << len(address)), dtype=np.uint8)
-            bits[:, entries[:, 0]] = entries[:, 1] >> np.arange(len(data))[:, None] & 1
-            kept = np.flatnonzero(bits.any(axis=1))
-            if not len(kept):
-                continue
-            op = ("qram", address, [data[j] for j in kept], bits[kept])
-        lowered.append(op)
+
+    def widen(q: int, w: int, dst: int) -> int:
+        lowered.append(("widen", q, dst, _widen_steps(support[q], w)))
+        support[dst] = w
+        return dst
+
+    ops = [op for op in ops if op[0] != "flip" or op[2]]
+    flips = [("flip", (op[1],), (sign,)) if op[0] == "z" else op[:3] for op in ops]
+    pairs = _undo_pairs(flips)
+    undone = set(pairs.values())
+    saved, spare = {}, []
+    for i, (kind, controls, targets) in enumerate(flips):
+        if i in pairs and (restore := saved.pop(pairs[i], None)):
+            for t, slot in restore:
+                widen(slot, support[slot], t)
+                spare.append(slot)
+            continue
+        w = 0
+        for q in controls:
+            w |= support[q]
+        for q in targets:
+            w |= support[q]
+        for t in targets:
+            if support[t] != w:
+                if i in undone:
+                    saved[i] = []
+                    for q in targets:
+                        if not spare:
+                            support.append(0)
+                            spare.append(len(support) - 1)
+                        saved[i].append((q, widen(q, support[q], spare.pop())))
+                for q in targets:
+                    if support[q] != w:
+                        widen(q, w, q)
+                break
+        op = flips[i]
+        for c in controls:
+            if support[c] != w:
+                controls = tuple([q if support[q] == w
+                                  else widen(q, w, temp + j if w == full else q)
+                                  for j, q in enumerate(controls)])
+                op = (kind, controls, targets)
+                break
+        if kind == "qram":
+            lowered.append(("qram", controls, targets, ops[i][3], 1 << w.bit_count()))
+        elif controls:
+            lowered.append(op)
+        else:
+            if (k := w.bit_count()) not in all_ones:
+                all_ones[k] = (widen(ones, (1 << k) - 1, ones + k),)
+            if (op := negations.get((k, targets))) is None:
+                op = negations[k, targets] = ("flip", all_ones[k], targets)
+            lowered.append(op)
+    plan = circuit.measurement
+    readout = (*plan.z_qubits, *plan.unmeasured, sign)
+    w = 0
+    for q in readout:
+        w |= support[q]
+    for q in readout:
+        if support[q] != w:
+            widen(q, w, q)
+    support.append(0)
+    widen(ones, w, len(support) - 1)
     return lowered
+
+
+def _widen_steps(have: int, want: int) -> tuple[tuple[int, int, int], ...]:
+    """How `_widen` takes a column over the variables `have` to `want` (a superset).
+
+    Each step (k, p, m) inserts a run of m new variables at position p of a
+    column of 2^k bits, so every block of 2^p bits repeats 2^m times.  Runs
+    go up from the lowest, so p is also the run's position in `want`.
+    """
+    variables = [t for t in range(want.bit_length()) if want >> t & 1]
+    steps, k, p = [], have.bit_count(), 0
+    while p < len(variables):
+        m = 0
+        while p + m < len(variables) and not have >> variables[p + m] & 1:
+            m += 1
+        if m:
+            steps.append((k, p, m))
+            k += m
+        p += m or 1
+    return tuple(steps)
+
+
+def _doubling_table(p: int) -> np.ndarray:
+    """Byte b -> 16 bits: each block of 2^p bits of b written twice."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    doubled = np.repeat(bits.reshape(256, -1, 1 << p), 2, axis=1).reshape(256, 16)
+    return np.packbits(doubled, axis=1, bitorder="little").view("<u2")[:, 0]
+
+
+_DOUBLE = [_doubling_table(p) for p in range(3)]
+
+
+def _widen(column: int, steps: tuple[tuple[int, int, int], ...]) -> int:
+    """Broadcast a column over new variables by whole-block repeats (see `_widen_steps`).
+
+    New top variables repeat the whole column by shifts, blocks of a byte
+    or more repeat as byte rows, and smaller blocks double through _DOUBLE.
+    """
+    for k, p, m in steps:
+        if p == k:
+            for _ in range(m):
+                column |= column << (1 << k)
+                k += 1
+            continue
+        while p < 3 and m:
+            raw = np.frombuffer(column.to_bytes((1 << k) + 7 >> 3, "little"), dtype=np.uint8)
+            column = int.from_bytes(_DOUBLE[p][raw].tobytes(), "little")
+            p, k, m = p + 1, k + 1, m - 1
+        if m:
+            raw = np.frombuffer(column.to_bytes(1 << (k - 3), "little"), dtype=np.uint8)
+            column = int.from_bytes(
+                np.repeat(raw.reshape(-1, 1 << (p - 3)), 1 << m, axis=0).tobytes(), "little")
+    return column
 
 
 def _pack(bits: np.ndarray) -> list[int]:
@@ -122,12 +343,15 @@ def _unpack(columns: list[int], count: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=count, bitorder="little")
 
 
-def _apply_columns(ops: list[tuple], cols: list[int], full: int) -> int:
+def _apply_columns(ops: list[tuple], cols: list[int], full: int | None) -> int:
     """Run lowered ops over one chunk of branches; return its sign column.
 
     `cols[q]` holds qubit q of every branch in the chunk, branch i at bit i,
     and is updated in place; `full` has one bit set per branch.  A set bit
     of the returned sign column marks a branch whose phase ended at -1.
+    Support-regime ops (see `_track_supports`) never read `full` or the
+    returned sign: their flips all have controls, their loads carry their
+    column width, and their phase flips XOR into a sign slot of `cols`.
     """
     sign = 0
     for op in ops:
@@ -145,9 +369,11 @@ def _apply_columns(ops: list[tuple], cols: list[int], full: int) -> int:
                     cols[t] ^= fire
         elif kind == "z":
             sign ^= cols[op[1]]
+        elif kind == "widen":
+            cols[op[2]] = _widen(cols[op[1]], op[3])
         else:
-            _, address, data, tables = op
-            bits = _unpack([cols[q] for q in address], full.bit_length())
+            address, data, tables = op[1:4]
+            bits = _unpack([cols[q] for q in address], op[4] if len(op) > 4 else full.bit_length())
             index = np.zeros(bits.shape[1], dtype=np.intp)
             for row in bits[::-1]:
                 index <<= 1
@@ -230,13 +456,15 @@ def _h_prefix(circuit: Circuit) -> tuple[int, ...]:
 
 
 def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
-                     jobs: int = 1, chunk_size: int = 1 << 16) -> SimOutcome:
+                     jobs: int = 1, chunk_size: int = _CHUNK_DEFAULT) -> SimOutcome:
     """Exact acceptance statistics by enumerating all 2^h Hadamard branches.
 
-    Branches are evaluated in fixed-size chunks whose partial sums combine
-    by integer addition, so chunking and the thread count never change the
-    result.  Raises SimulationError unless every unmeasured qubit holds one
-    value over all accepted branches.
+    Branches are evaluated in chunks whose partial sums combine by integer
+    addition, so chunking and the thread count never change the result.
+    Below the support regime a chunk is `chunk_size` consecutive branches;
+    in it, a chunk fixes the variables from _SUPPORT_FREE_VARS up and
+    `chunk_size` is not used.  Raises SimulationError unless every
+    unmeasured qubit holds one value over all accepted branches.
     """
     plan = circuit.measurement
     if plan is None:
@@ -245,13 +473,11 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
     h = len(h_targets)
     check_branch_cap(h, branch_cap)
     ops = _compile_ops(circuit, start=h)
+    n_branches = 1 << h
 
-    def run_chunk(lo: int, hi: int) -> tuple[int, int, tuple[bool, ...] | None]:
-        full = (1 << (hi - lo)) - 1
-        cols = [0] * circuit.n_qubits
-        for q, column in zip(h_targets, _branch_columns(lo, hi, h)):
-            cols[q] = column
-        sign = _apply_columns(ops, cols, full)
+    def tally(cols: list[int], full: int, sign: int, scale: int):
+        """(signed sum, accepted count, unmeasured values or None); each bit
+        of the columns stands for 2^scale branches."""
         rejected = 0
         for q in plan.z_qubits:
             rejected |= cols[q]
@@ -260,16 +486,39 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
         held = tuple(cols[q] & accepted for q in plan.unmeasured)
         if any(bits not in (0, accepted) for bits in held):
             raise SimulationError(_VARYING)
-        return (n_accepted - 2 * (accepted & sign).bit_count(), n_accepted,
+        return ((n_accepted - 2 * (accepted & sign).bit_count()) << scale, n_accepted << scale,
                 tuple(bits == accepted for bits in held) if accepted else None)
 
-    n_branches = 1 << h
-    bounds = [(lo, min(lo + chunk_size, n_branches)) for lo in range(0, n_branches, chunk_size)]
-    if jobs > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda b: run_chunk(*b), bounds))
+    if h <= _FLAT_MAX_H:
+        def run_chunk(lo: int):
+            hi = min(lo + chunk_size, n_branches)
+            full = (1 << (hi - lo)) - 1
+            cols = [0] * circuit.n_qubits
+            for q, column in zip(h_targets, _branch_columns(lo, hi, h)):
+                cols[q] = column
+            return tally(cols, full, _apply_columns(ops, cols, full), 0)
+
+        chunks = range(0, n_branches, chunk_size)
     else:
-        parts = [run_chunk(lo, hi) for lo, hi in bounds]
+        free = min(h, _SUPPORT_FREE_VARS)
+        sign, ones, _ = _slots(circuit.n_qubits)
+
+        def run_chunk(chunk: int):
+            # Free variable t starts as the column 0b10 over itself alone.
+            cols = [0] * (ops[-1][2] + 1)
+            cols[ones] = 1
+            for t, q in enumerate(h_targets):
+                cols[q] = 2 if t < free else chunk >> (t - free) & 1
+            _apply_columns(ops, cols, None)
+            full = cols[-1]
+            return tally(cols, full, cols[sign], free - full.bit_length().bit_length() + 1)
+
+        chunks = range(1 << (h - free))
+    if jobs > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(run_chunk, chunks))
+    else:
+        parts = [run_chunk(chunk) for chunk in chunks]
     if len({p[2] for p in parts} - {None}) > 1:
         raise SimulationError(_VARYING)
     signed_sum = sum(p[0] for p in parts)
@@ -340,8 +589,6 @@ def dense_acceptance(circuit: Circuit, state: np.ndarray) -> Fraction:
     plan = circuit.measurement
     if plan is None:
         raise SimulationError("circuit has no measurement plan")
-    if len(plan.unmeasured) > 20:
-        raise CapExceededError("too many unmeasured qubits to marginalize")
     n = circuit.n_qubits
     if (bits := n - len(plan.z_qubits) + len(plan.x_qubits)) > 62:
         raise CapExceededError(f"a sum of up to 2^{bits} overflows int64")

@@ -51,8 +51,12 @@ def _draw_gate(data, circuit, kind, index):
     return QramLoad(tuple(order[:width]), tuple(order[width:width + data_width]), table.table_id)
 
 
-def random_circuit(data, n_qubits, h):
-    """H on h distinct qubits, up to 24 random permutation gates, a random plan."""
+def random_circuit(data, n_qubits, h, mirror=False):
+    """H on h distinct qubits, up to 24 random permutation gates, a random plan.
+
+    With `mirror`, the gates are followed by a drawn prefix of themselves in
+    reverse, so the circuit undoes what that prefix computed.
+    """
     circuit = new_circuit([("q", n_qubits)])
     circuit.begin_step("body")
     for q in data.draw(st.permutations(range(n_qubits)))[:h]:
@@ -60,6 +64,9 @@ def random_circuit(data, n_qubits, h):
     kinds = data.draw(st.lists(st.sampled_from(KINDS), max_size=24))
     for index, kind in enumerate(kinds):
         circuit.add(_draw_gate(data, circuit, kind, index))
+    if mirror:
+        body = circuit.gates[h:]
+        circuit.extend(body[:data.draw(st.integers(0, len(body)))][::-1])
     order = data.draw(st.permutations(range(n_qubits)))
     n_z = data.draw(st.integers(0, n_qubits))
     n_x = data.draw(st.integers(0, n_qubits - n_z))

@@ -7,14 +7,24 @@ kernel.  Chunk sizes include ones below 64 branches and ones that are
 neither powers of two nor multiples of 64.  A circuit whose unmeasured
 qubits end in more than one state over the accepted branches must be
 refused, within a chunk or across chunks.
+
+The path sum runs in both of its regimes: the flat one, and the support
+regime forced on by setting `_FLAT_MAX_H` to 0, once with every branch
+variable free and once with all but two fixed per chunk.  Half the
+circuits end by undoing a prefix of their gates, which the support
+regime turns into copies of saved columns.
 """
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcircuits.ir import H, new_circuit
+from gapcircuits import simulator
+from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, OVInstance, build_circuit
+from gapcircuits.ir import CX, BitString, H, X, Z, new_circuit
 from gapcircuits.simulator import SimulationError, apply_gates, simulate_pathsum
 from reference_interpreter import random_circuit, reference_word
 
@@ -39,11 +49,9 @@ def _reference_pathsum(circuit):
     return signed_sum, n_accepted, len(unmeasured) > 1
 
 
-@pytest.mark.parametrize("h", [0, 1, 5, 7])
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_pathsum_matches_reference_interpreter(h, data):
-    circuit = random_circuit(data, data.draw(st.integers(max(h, 4), h + 4)), h)
+def _check_against_reference(data, h):
+    circuit = random_circuit(data, data.draw(st.integers(max(h, 4), h + 4)), h,
+                             mirror=data.draw(st.booleans()))
     signed_sum, n_accepted, varies = _reference_pathsum(circuit)
     for chunk_size in (1, 3, 7, 64, 100, 1 << 16):
         for jobs in (1, 2):
@@ -55,6 +63,117 @@ def test_pathsum_matches_reference_interpreter(h, data):
             assert (out.signed_sum, out.n_accepted, out.n_branches) == \
                 (signed_sum, n_accepted, 1 << h), (chunk_size, jobs)
             assert out.p_acc * (1 << out.exponent) == signed_sum ** 2
+
+
+@pytest.mark.parametrize("h", [0, 1, 5, 7])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pathsum_matches_reference_interpreter(h, data):
+    _check_against_reference(data, h)
+
+
+@pytest.mark.parametrize("free", [20, 2])
+@pytest.mark.parametrize("h", [0, 1, 5, 7])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pathsum_support_regime_matches_reference_interpreter(h, free, data):
+    # The support regime forced on at every h; with free=2 a chunk fixes
+    # all but the two lowest branch variables.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_FLAT_MAX_H", 0)
+        patch.setattr(simulator, "_SUPPORT_FREE_VARS", free)
+        _check_against_reference(data, h)
+
+
+def _near_undo(between):
+    """CX(0, 2) widens qubit 2 to variable 0; `between` may break the undo
+    by the second CX(0, 2).  Qubit 2 is then Z-measured."""
+    circuit = new_circuit([("q", 4)])
+    circuit.begin_step("1")
+    circuit.extend([H(0), H(1), CX(0, 2), *between, CX(0, 2), CX(1, 3)])
+    circuit.set_measurement((2,), (0, 1, 3))
+    return circuit
+
+
+@pytest.mark.parametrize("between, undone", [
+    ((), True),
+    ((CX(1, 3), Z(2)), True),  # reads only
+    ((X(2),), False),  # the target changed
+    ((X(2), X(2)), True),  # and changed back
+    ((X(0),), False),  # the control changed
+    ((CX(1, 2),), False),
+])
+def test_undo_pairs_need_unchanged_targets_and_controls(between, undone, monkeypatch):
+    circuit = _near_undo(between)
+    flips = [op[:3] for op in simulator._compile_ops(circuit, start=2)]
+    pairs = simulator._undo_pairs([("flip", (op[1],), (9,)) if op[0] == "z" else op
+                                   for op in flips])
+    assert (pairs.get(len(between) + 1) == 0) == undone
+    signed_sum, n_accepted, _ = _reference_pathsum(circuit)
+    monkeypatch.setattr(simulator, "_FLAT_MAX_H", 0)
+    out = simulate_pathsum(circuit)
+    assert (out.signed_sum, out.n_accepted) == (signed_sum, n_accepted)
+
+
+def _literal_widen(column, have, want):
+    """Bit i over `want` is the bit of `column` at i's assignment of `have`."""
+    have_vars = [t for t in range(want.bit_length()) if have >> t & 1]
+    want_vars = [t for t in range(want.bit_length()) if want >> t & 1]
+    out = 0
+    for i in range(1 << len(want_vars)):
+        value = {t: i >> j & 1 for j, t in enumerate(want_vars)}
+        source = sum(value[t] << j for j, t in enumerate(have_vars))
+        out |= (column >> source & 1) << i
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_widen_matches_literal_broadcast(data):
+    # Up to 12 variables: runs of new ones start below and above bit 3, so
+    # blocks under a byte, whole bytes and whole-column repeats all occur.
+    want = data.draw(st.integers(0, (1 << 12) - 1).filter(lambda w: w.bit_count() <= 11))
+    have = want & data.draw(st.integers(0, (1 << 12) - 1))
+    column = data.draw(st.integers(0, (1 << (1 << have.bit_count())) - 1))
+    steps = simulator._widen_steps(have, want)
+    assert simulator._widen(column, steps) == _literal_widen(column, have, want)
+
+
+def _ov_instance(n, d, seed):
+    rng = random.Random(seed)
+
+    def vectors():
+        return tuple(BitString(tuple(rng.getrandbits(1) for _ in range(d))) for _ in range(n))
+    return OVInstance(u=vectors(), v=vectors())
+
+
+@pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
+def test_support_regime_matches_flat_on_built_circuit(mode, monkeypatch):
+    circuit = build_circuit(_ov_instance(512, 4, seed=5), mode).circuit
+    assert circuit.h_layer_size == 18 > simulator._FLAT_MAX_H
+    ops = simulator._compile_ops(circuit, start=18)
+    assert any(op[0] == "widen" for op in ops)
+    out = simulate_pathsum(circuit)
+    monkeypatch.setattr(simulator, "_FLAT_MAX_H", 24)
+    assert simulate_pathsum(circuit) == out
+
+
+@pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
+def test_flat_regime_keeps_the_flat_ops(mode):
+    # h = 16 fills one default chunk: each op is its gate's action, or the
+    # load's ("qram", address, data, bits), and none is a widen.  h = 18 is
+    # above it.
+    flat = build_circuit(_ov_instance(256, 2, seed=1), mode).circuit
+    wide = build_circuit(_ov_instance(512, 2, seed=1), mode).circuit
+    ops = simulator._compile_ops(flat, start=16)
+    body = flat.gates[16:]
+    assert len(ops) == len(body)
+    for op, gate in zip(ops, body):
+        if op[0] == "qram":
+            assert op[:2] == gate.action()[:2] and len(op) == 4
+        else:
+            assert op == gate.action()
+    assert any(op[0] == "widen" for op in simulator._compile_ops(wide, start=18))
 
 
 @settings(max_examples=60, deadline=None)

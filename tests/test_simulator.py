@@ -98,10 +98,16 @@ def test_dense_cap():
 
 
 def test_dense_acceptance_marginal_cap():
+    # The exact readout never marginalizes, so 21 unmeasured qubits are read
+    # like any other plan: with nothing measured the probability is 1.
     circ = new_circuit([("q", 21)])
+    circ.begin_step("1")
+    circ.add(H(0))
+    circ.add(CX(0, 1))
     circ.set_measurement((), (), tuple(range(21)))
-    with pytest.raises(CapExceededError):
-        dense_acceptance(circ, np.zeros(1, dtype=np.complex128))
+    assert dense_acceptance(circ, simulate_dense(circ)) == 1
+    circ.set_measurement((1,), (), tuple(q for q in range(21) if q != 1))
+    assert dense_acceptance(circ, simulate_dense(circ)) == Fraction(1, 2)
 
 
 def test_dense_acceptance_rejects_mis_sized_state():
