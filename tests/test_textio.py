@@ -98,6 +98,9 @@ def test_bound_header_dash_means_none():
     ("circuit 2\nregister a 0 2\ngate 1 X 0\ngate 1 H 1\n", "line 4: h gates are only allowed"),
     ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 0 1\nrow 5 0\n", "line 5: address 5 out of range"),
     ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 1 1\n\nrow 1 0\n", "line 6: duplicate address"),
+    ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 0 2\n", "line 4: value 2 does not fit in 1 bits"),
+    ("circuit 2\nregister a 0 2\ntable t 1 1\nrow -1 0\n",
+     "line 4: address -1 out of range for width 1"),
     ("circuit 2\nregister a 0 2\ntable t 0 1\n", "line 3: table widths must be positive"),
     ("circuit 2\nregister a 0 2\ngate 1 X 0\nregister b 2 1\n", "line 4: register line after"),
     # a late H is refused even when its line repeats an accepted leading one
