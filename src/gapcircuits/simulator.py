@@ -13,20 +13,25 @@ qubit q is one Python int column whose bit i holds qubit q of branch lo+i,
 and one more column marks the branches whose sign is -1.  X, CX, Toffoli
 and bitmask flips become XOR and AND of whole columns, a phase flip XORs a
 column into the sign column, and a table lookup gathers from the table by
-the unpacked address bits.  The accepted count and signed sum are popcounts
-of the accepted-branch column, so they stay exact.
+the unpacked address bits.  An explicit loader's X-framed bitmask flips
+lower to one run: its X gates fold into a pending frame, and the kernel
+walks the run's sorted address patterns, computing each AND prefix they
+share once, as in unary iteration (Babbush et al., PRX 8, 041015, 2018).
+The accepted count and signed sum are popcounts of the accepted-branch
+column, so they stay exact.
 
 Above one default chunk of 2^16 branches (h > 16, the `_FLAT_MAX_H` rule),
 each column keeps its support: the branch variables, that is Hadamard bits,
 it may depend on.  A column over k variables is an int of 2^k bits, bit i
 holding the value at the assignment i of those variables, lowest first.
 Supports are fixed in the lowering: a flip's targets gain its controls'
-supports, a load's data its address's, and a phase flip adds to the sign
-column's.  Where supports meet, the lowering inserts a "widen" op, which
-broadcasts a column over new variables by repeating whole blocks of its
-packed bits; a flip that undoes an earlier one copies saved columns back,
-so a register restored by uncomputation narrows again.  A loader over
-register i then works on 2^r bits, not 2^h.  The readout widens the
+supports, a load's or run's data its address's, and a phase flip adds to
+the sign column's.  Where supports meet, the lowering inserts a "widen"
+op, which broadcasts a column over new variables by repeating whole blocks
+of its packed bits; a flip that undoes an earlier one copies saved columns
+back, so a register restored by uncomputation narrows again.  A loader
+over register i then works on 2^r bits, not 2^h, and an address is
+widened into temporaries, so it keeps that support.  The readout widens the
 Z-measured, unmeasured and sign columns to their common support, and each
 of their bits stands for 2^(h - |support|) branches.  In this regime a
 chunk fixes only the variables from `_SUPPORT_FREE_VARS` = 20 up, so no
@@ -61,7 +66,7 @@ from itertools import count
 
 import numpy as np
 
-from .ir import VOCABULARY, Circuit, H, QramLoad
+from .ir import VOCABULARY, Circuit, H, MCBitmask, QramLoad, X
 
 DENSE_CAP_DEFAULT = 22
 BRANCH_CAP_DEFAULT = 24
@@ -113,16 +118,26 @@ def _body_kinds(gates: list) -> set[type]:
 def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
     """Lower gates[start:] to the column kernel's ops, which are the gates' actions.
 
-    A table load becomes ("qram", address, data, bits): one 0/1 row of
-    `bits`, indexed by address, per data qubit that some entry sets.  With
-    `start` Hadamards of the support regime, the ops are then rewritten by
-    `_track_supports`.
+    When two consecutive bitmask flips share controls and targets, as in an
+    explicit loader, the body is lowered by `_lower_runs` instead, which
+    folds X gates and groups such flips into runs.  A table load becomes
+    ("qram", address, data, bits): one 0/1 row of `bits`, indexed by
+    address, per data qubit that some entry sets.  With `start` Hadamards
+    of the support regime, the ops are then rewritten by `_track_supports`.
     """
     if circuit.n_qubits > _WORD_QUBIT_CAP:
         raise CapExceededError(
             f"{circuit.n_qubits} qubits exceed the {_WORD_QUBIT_CAP}-qubit word cap")
     kinds = _body_kinds(gates := circuit.gates[start:])
-    ops = lowered = [gate.action() for gate in gates]
+    previous = None
+    for gate in gates:
+        if type(gate) is MCBitmask:
+            if (gate.controls, gate.targets) == previous:
+                ops = lowered = _lower_runs(gates)
+                break
+            previous = gate.controls, gate.targets
+    else:
+        ops = lowered = [gate.action() for gate in gates]
     if QramLoad in kinds:
         lowered = []
         for op in ops:
@@ -137,6 +152,67 @@ def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
                 op = ("qram", address, [data[j] for j in kept], bits[kept])
             lowered.append(op)
     return lowered if start <= _FLAT_MAX_H else _track_supports(lowered, circuit, start)
+
+
+def _lower_runs(gates: list) -> list[tuple]:
+    """Gate actions, with X gates folded into a frame and bitmask flips into runs.
+
+    An X toggles its qubit's bit of the pending frame; before any other
+    gate each pending bit is emitted as one single-qubit flip.  Bitmask
+    flips with equal controls and targets and only X between them become
+    ("run", controls, entries): sorted (pattern, targets) pairs, pattern
+    bit j set where the flip fires on controls[j] = 1 in the columns as
+    they stand, the frame not applied.  Flips of one pattern merge by XOR
+    of their masks; a run left with one pattern is emitted as a framed flip.
+    """
+    ops, pending, controls, targets = [], 0, None, None
+    append = ops.append
+
+    def close(pending: int) -> int:
+        live = sorted([item for item in entries.items() if item[1]])
+        if len(live) != 1:
+            if live:
+                names = {m: tuple([t for j, t in enumerate(targets) if m >> j & 1])
+                         for m in set(entries.values())}
+                append(("run", controls, tuple([(p, names[m]) for p, m in live])))
+            return pending
+        (pattern, mask), = live
+        frame = 0
+        for j, c in enumerate(controls):
+            if not pattern >> j & 1:
+                frame |= 1 << c
+                append(("flip", (), (c,)))
+        append(("flip", controls, tuple([t for j, t in enumerate(targets) if mask >> j & 1])))
+        return pending ^ frame
+
+    for gate in gates:
+        kind = type(gate)
+        if kind is X:
+            pending ^= 1 << gate.target
+        elif kind is MCBitmask:
+            if gate.controls != controls or gate.targets != targets:
+                if controls:
+                    pending = close(pending)
+                controls, targets, entries = gate.controls, gate.targets, {}
+                ones, low = (1 << len(controls)) - 1, controls[0]
+                if controls != tuple(range(low, low + len(controls))):
+                    low, bits = -1, [(c, 1 << j) for j, c in enumerate(controls)]
+            pattern = ((pending >> low & ones) ^ ones if low >= 0
+                       else sum([bit for c, bit in bits if not pending >> c & 1]))
+            entries[pattern] = entries.get(pattern, 0) ^ gate.mask
+        else:
+            if controls:
+                pending, controls = close(pending), None
+            while pending:
+                append(("flip", (), ((pending & -pending).bit_length() - 1,)))
+                pending &= pending - 1
+            append(gate.action())
+    if controls:
+        pending = close(pending)
+    while pending:
+        append(("flip", (), ((pending & -pending).bit_length() - 1,)))
+        pending &= pending - 1
+    return ops
 
 
 def _slots(n_qubits: int) -> tuple[int, int, int]:
@@ -171,7 +247,7 @@ def _undo_pairs(flips: list[tuple]) -> dict[int, int]:
         held = tuple([version.get(c, 0) for c in controls])
         if kind == "flip" and (stack := written.get(targets[0])):
             j = stack[-1][0]
-            if flips[j][1:] == (controls, targets):
+            if flips[j] == flips[i]:
                 for t in targets:
                     top = written[t][-1]
                     if top[0] != j or top[1] != held or top[3] != version[t]:
@@ -195,9 +271,11 @@ def _track_supports(ops: list[tuple], circuit: Circuit, h: int) -> list[tuple]:
 
     Variable t is bit t of the branch index, the Hadamard on gates[t]'s
     target; those from _SUPPORT_FREE_VARS up are fixed per chunk.  Every
-    operand of a flip or load is widened to the union of the op's supports:
-    targets in place, controls in place below full support and into a
-    temporary at full support, so that no full-width copy outlives its op.
+    operand of a flip, load or run is widened to the union of the op's
+    supports: targets in place, and a flip's controls in place below full
+    support.  Other controls go into temporaries, so no full-width copy
+    outlives its op and an address register keeps its own support.  A run's
+    targets are the union of its entries' targets.
     A flip without controls reads an all-ones column, and a phase flip is
     a flip of the sign column.  When a flip that widens a target is undone
     later (see `_undo_pairs`), its targets' columns are saved before it and
@@ -221,7 +299,9 @@ def _track_supports(ops: list[tuple], circuit: Circuit, h: int) -> list[tuple]:
         return dst
 
     ops = [op for op in ops if op[0] != "flip" or op[2]]
-    flips = [("flip", (op[1],), (sign,)) if op[0] == "z" else op[:3] for op in ops]
+    flips = [("flip", (op[1],), (sign,)) if op[0] == "z"
+             else ("run", op[1], tuple({t for entry in op[2] for t in entry[1]}))
+             if op[0] == "run" else op[:3] for op in ops]
     pairs = _undo_pairs(flips)
     undone = set(pairs.values())
     saved, spare = {}, []
@@ -253,12 +333,14 @@ def _track_supports(ops: list[tuple], circuit: Circuit, h: int) -> list[tuple]:
         for c in controls:
             if support[c] != w:
                 controls = tuple([q if support[q] == w
-                                  else widen(q, w, temp + j if w == full else q)
+                                  else widen(q, w, q if kind == "flip" and w != full else temp + j)
                                   for j, q in enumerate(controls)])
                 op = (kind, controls, targets)
                 break
         if kind == "qram":
             lowered.append(("qram", controls, targets, ops[i][3], 1 << w.bit_count()))
+        elif kind == "run":
+            lowered.append(("run", controls, ops[i][2], 1 << w.bit_count()))
         elif controls:
             lowered.append(op)
         else:
@@ -353,9 +435,13 @@ def _apply_columns(ops: list[tuple], cols: list[int], full: int | None) -> int:
     `cols[q]` holds qubit q of every branch in the chunk, branch i at bit i,
     and is updated in place; `full` has one bit set per branch.  A set bit
     of the returned sign column marks a branch whose phase ended at -1.
-    Support-regime ops (see `_track_supports`) never read `full` or the
-    returned sign: their flips all have controls, their loads carry their
-    column width, and their phase flips XOR into a sign slot of `cols`.
+    A run (see `_lower_runs`) walks its sorted patterns; entries that share
+    their top pattern bits share that AND prefix, and a 0 bit reads the
+    complement `ones ^ column`, taken once per control (`~column` would
+    cost far more).  Support-regime ops (see `_track_supports`) never read
+    `full` or the returned sign: their flips all have controls, their loads
+    and runs carry their column width, and their phase flips XOR into a
+    sign slot of `cols`.
     """
     sign = 0
     for op in ops:
@@ -375,6 +461,21 @@ def _apply_columns(ops: list[tuple], cols: list[int], full: int | None) -> int:
             sign ^= cols[op[1]]
         elif kind == "widen":
             cols[op[2]] = _widen(cols[op[1]], op[3])
+        elif kind == "run":
+            controls, entries = op[1], op[2]
+            ones = (1 << op[3]) - 1 if len(op) > 3 else full
+            literals = [(ones ^ cols[c], cols[c]) for c in controls]
+            k = len(controls)
+            prefix = [ones] * (k + 1)  # prefix[d]: AND over controls k-1 .. k-d
+            last = entries[0][0] ^ 1 << (k - 1)
+            for pattern, targets in entries:
+                fire = prefix[depth := k - (pattern ^ last).bit_length()]
+                for j in range(k - 1 - depth, -1, -1):
+                    fire &= literals[j][pattern >> j & 1]
+                    prefix[k - j] = fire
+                last = pattern
+                for t in targets:
+                    cols[t] ^= fire
         else:
             address, data, tables = op[1:4]
             bits = _unpack([cols[q] for q in address], op[4] if len(op) > 4 else full.bit_length())

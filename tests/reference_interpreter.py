@@ -1,8 +1,9 @@
 """Random circuits and a per-branch reference interpreter for kernel tests.
 
 `random_circuit` draws circuits over the whole permutation vocabulary;
-its draws can include zero-mask bitmask flips and tables with missing
-addresses.
+its draws can include zero-mask bitmask flips, tables with missing
+addresses, and explicit loader blocks, whose X-framed bitmask flips the
+path-sum lowering folds into runs.
 `reference_word` runs one basis word through the gates after the
 Hadamard layer, reading the IR gate fields directly, so it shares no
 lowering with either simulation backend.
@@ -14,13 +15,13 @@ triple loops.
 from hypothesis import strategies as st
 
 from gapcircuits.builders import InstanceError, OVInstance
-from gapcircuits.dataload import DataTable
+from gapcircuits.dataload import DataTable, emit_loader_unitary
 from gapcircuits.ir import (
     CX, VOCABULARY, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit,
 )
 from gapcircuits.verification import OracleCounts
 
-KINDS = ("X", "Z", "CX", "Toffoli", "MCBitmask", "QramLoad")
+KINDS = ("X", "Z", "CX", "Toffoli", "MCBitmask", "QramLoad", "Loader")
 
 
 def _draw_gate(data, circuit, kind, index):
@@ -51,8 +52,41 @@ def _draw_gate(data, circuit, kind, index):
     return QramLoad(tuple(order[:width]), tuple(order[width:width + data_width]), table.table_id)
 
 
-def random_circuit(data, n_qubits, h, mirror=False):
-    """H on h distinct qubits, up to 24 random permutation gates, a random plan.
+def _draw_loader(data, circuit, index):
+    """Append an explicit loader block on drawn address, data and ancilla qubits.
+
+    The block is `emit_loader_unitary` on a random table, two such blocks
+    back to back on the same wires (their addresses may repeat), two split
+    by a Z or a CX, or a hand-built run of framed flips that repeats its
+    first address, with the last frame undone or left standing.
+    """
+    n = circuit.n_qubits
+    order = data.draw(st.permutations(range(n)))
+    width = data.draw(st.integers(1, min(3, n - 2)))
+    data_width = data.draw(st.integers(1, min(3, n - 1 - width)))
+    address, wires = tuple(order[:width]), tuple(order[width:width + data_width])
+    addresses, values = st.integers(0, (1 << width) - 1), st.integers(0, (1 << data_width) - 1)
+    block = data.draw(st.sampled_from(("table", "twice", "broken", "repeat")))
+    if block == "repeat":
+        drawn = data.draw(st.lists(addresses, min_size=1, max_size=3))
+        gates = []
+        for a in (*drawn, drawn[0]):
+            frame = [X(q) for j, q in enumerate(address) if not a >> j & 1]
+            gates += (*frame, MCBitmask(address, data.draw(values), wires, order[-1]), *frame)
+        if data.draw(st.booleans()):  # leave the last frame standing
+            del gates[len(gates) - len(frame):]
+        circuit.extend(gates)
+        return
+    for k in range(1 if block == "table" else 2):
+        if k and block == "broken":
+            circuit.add(_draw_gate(data, circuit, data.draw(st.sampled_from(("Z", "CX"))), index))
+        table = DataTable(f"l{index}", width, data_width,
+                          tuple(data.draw(st.dictionaries(addresses, values)).items()))
+        emit_loader_unitary(circuit, table, address, wires, order[-1])
+
+
+def random_circuit(data, n_qubits, h, mirror=False, kinds=KINDS):
+    """H on h distinct qubits, up to 24 random permutation gates or loader blocks, a random plan.
 
     With `mirror`, the gates are followed by a drawn prefix of themselves in
     reverse, so the circuit undoes what that prefix computed.
@@ -61,9 +95,11 @@ def random_circuit(data, n_qubits, h, mirror=False):
     circuit.begin_step("body")
     for q in data.draw(st.permutations(range(n_qubits)))[:h]:
         circuit.add(H(q))
-    kinds = data.draw(st.lists(st.sampled_from(KINDS), max_size=24))
-    for index, kind in enumerate(kinds):
-        circuit.add(_draw_gate(data, circuit, kind, index))
+    for index, kind in enumerate(data.draw(st.lists(st.sampled_from(kinds), max_size=24))):
+        if kind == "Loader":
+            _draw_loader(data, circuit, index)
+        else:
+            circuit.add(_draw_gate(data, circuit, kind, index))
     if mirror:
         body = circuit.gates[h:]
         circuit.extend(body[:data.draw(st.integers(0, len(body)))][::-1])

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from gapcircuits import simulator
 from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, OVInstance, build_circuit
-from gapcircuits.ir import CX, BitString, H, X, Z, new_circuit
+from gapcircuits.ir import CX, BitString, H, MCBitmask, X, Z, new_circuit
 from gapcircuits.simulator import SimulationError, apply_gates, simulate_pathsum
 from reference_interpreter import random_circuit, reference_word
 
@@ -85,6 +85,28 @@ def test_pathsum_support_regime_matches_reference_interpreter(h, free, data):
         _check_against_reference(data, h)
 
 
+@pytest.mark.parametrize("free", [None, 20, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_loader_runs_match_reference_interpreter(free, data):
+    # Mostly loader blocks, which lower to runs: in the flat regime, and in
+    # the support regime with every branch variable free or two.
+    h = data.draw(st.integers(0, 6))
+    circuit = random_circuit(data, data.draw(st.integers(max(h, 4), h + 4)), h,
+                             kinds=("Loader", "Loader", "X", "Z", "CX"))
+    signed_sum, n_accepted, varies = _reference_pathsum(circuit)
+    with pytest.MonkeyPatch.context() as patch:
+        if free is not None:
+            patch.setattr(simulator, "_FLAT_MAX_H", 0)
+            patch.setattr(simulator, "_SUPPORT_FREE_VARS", free)
+        if varies:
+            with pytest.raises(SimulationError, match="unmeasured"):
+                simulate_pathsum(circuit)
+            return
+        out = simulate_pathsum(circuit)
+    assert (out.signed_sum, out.n_accepted) == (signed_sum, n_accepted)
+
+
 def _near_undo(between):
     """CX(0, 2) widens qubit 2 to variable 0; `between` may break the undo
     by the second CX(0, 2).  Qubit 2 is then Z-measured."""
@@ -105,7 +127,7 @@ def _near_undo(between):
 ])
 def test_undo_pairs_need_unchanged_targets_and_controls(between, undone, monkeypatch):
     circuit = _near_undo(between)
-    flips = [op[:3] for op in simulator._compile_ops(circuit, start=2)]
+    flips = [gate.action() for gate in circuit.gates[2:]]
     pairs = simulator._undo_pairs([("flip", (op[1],), (9,)) if op[0] == "z" else op
                                    for op in flips])
     assert (pairs.get(len(between) + 1) == 0) == undone
@@ -113,6 +135,38 @@ def test_undo_pairs_need_unchanged_targets_and_controls(between, undone, monkeyp
     monkeypatch.setattr(simulator, "_FLAT_MAX_H", 0)
     out = simulate_pathsum(circuit)
     assert (out.signed_sum, out.n_accepted) == (signed_sum, n_accepted)
+
+
+@pytest.mark.parametrize("flat_max_h", [16, 0])
+def test_run_merges_repeated_patterns_by_xor(flat_max_h, monkeypatch):
+    # Under the X frames the four flips fire on patterns 2, 3, 2 and 1 of
+    # qubits (0, 1); the two flips of pattern 2 cancel, so branch 2 is
+    # accepted along with branch 0.
+    flips = [MCBitmask((0, 1), mask, (2, 3), 4) for mask in (1, 3, 1, 2)]
+    circuit = new_circuit([("q", 5)])
+    circuit.begin_step("1")
+    circuit.extend([H(0), H(1), X(0), flips[0], X(0), flips[1], X(0), flips[2], X(0), X(1),
+                    flips[3], X(1)])
+    circuit.set_measurement((2, 3), (0, 1), (4,))
+    assert simulator._compile_ops(circuit, start=2) == [("run", (0, 1), ((1, (3,)), (3, (2, 3))))]
+    monkeypatch.setattr(simulator, "_FLAT_MAX_H", flat_max_h)
+    out = simulate_pathsum(circuit)
+    assert (out.signed_sum, out.n_accepted) == _reference_pathsum(circuit)[:2] == (2, 2)
+
+
+def test_flip_after_a_run_is_not_its_undo(monkeypatch):
+    # The run flips qubit 1 on both values of qubit 0.  The CX after it has
+    # the run's controls and targets, but restoring qubit 1's column from
+    # before the run would be wrong.
+    circuit = new_circuit([("q", 4)])
+    circuit.begin_step("1")
+    circuit.extend([H(0), X(0), MCBitmask((0,), 1, (1,), 3), X(0), MCBitmask((0,), 1, (1,), 3),
+                    CX(0, 1)])
+    circuit.set_measurement((1,), (0,), (2, 3))
+    assert simulator._compile_ops(circuit, start=1)[0][0] == "run"
+    monkeypatch.setattr(simulator, "_FLAT_MAX_H", 0)
+    out = simulate_pathsum(circuit)
+    assert (out.signed_sum, out.n_accepted) == _reference_pathsum(circuit)[:2] == (1, 1)
 
 
 def _literal_widen(column, have, want):
@@ -160,19 +214,35 @@ def test_support_regime_matches_flat_on_built_circuit(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
 def test_flat_regime_keeps_the_flat_ops(mode):
-    # h = 16 fills one default chunk: each op is its gate's action, or the
-    # load's ("qram", address, data, bits), and none is a widen.  h = 18 is
-    # above it.
-    flat = build_circuit(_ov_instance(256, 2, seed=1), mode).circuit
+    # h = 16 fills one default chunk: no op is a widen, and each op outside
+    # a run is its gate's action, or the load's ("qram", address, data,
+    # bits).  The qram body keeps one op per gate.  Each explicit loader is
+    # one run with an entry per nonzero value, whose pattern is its address
+    # XOR the X frame still pending on the address register (the step-2
+    # comparator's closing X gates on j are).  h = 18 is above it.
+    instance = _ov_instance(256, 2, seed=1)
+    flat = build_circuit(instance, mode).circuit
     wide = build_circuit(_ov_instance(512, 2, seed=1), mode).circuit
     ops = simulator._compile_ops(flat, start=16)
     body = flat.gates[16:]
-    assert len(ops) == len(body)
-    for op, gate in zip(ops, body):
-        if op[0] == "qram":
-            assert op[:2] == gate.action()[:2] and len(op) == 4
-        else:
-            assert op == gate.action()
+    if mode == MODE_QRAM:
+        assert len(ops) == len(body)
+        for op, gate in zip(ops, body):
+            if op[0] == "qram":
+                assert op[:2] == gate.action()[:2] and len(op) == 4
+            else:
+                assert op == gate.action()
+    else:
+        actions = {gate.action() for gate in body}
+        assert all(op in actions for op in ops if op[0] != "run")
+        regs = flat.registers
+        runs = [op[1:] for op in ops if op[0] == "run"]
+        assert [controls for controls, _ in runs] == [regs["i"].qubits, regs["j"].qubits]
+        for (_, entries), data, vectors, frame in zip(runs, ("ui", "vj"), (instance.u, instance.v),
+                                                      (0, 255)):
+            assert entries == tuple(sorted(
+                (a ^ frame, tuple(q for j, q in enumerate(regs[data]) if v.to_int() >> j & 1))
+                for a, v in enumerate(vectors) if v.to_int()))
     assert any(op[0] == "widen" for op in simulator._compile_ops(wide, start=18))
 
 
