@@ -39,15 +39,14 @@ column passes 2^20 bits (128 KB) and circuits of up to 2^20 branches run
 as one chunk.  Circuits with h <= 16 keep the flat lowering: there, the
 support bookkeeping costs more than it saves.
 
-Dense backend: a literal statevector simulation, one axis per qubit, that
-reads the IR gates directly.  It holds int8 signed counts, the amplitudes
-times 2^(h/2), and reads the all-zero outcome's probability as an exact
-rational.  While the gates run, the qubits that the fewest body gates touch
-sit on the innermost axes, so pinning or flipping a much-touched qubit cuts
-the array along an outer axis into long contiguous runs; the returned state
-is transposed back to qubit q on axis n-1-q.  It shares no lowering and no
-acceptance math with the path-sum backend, which is what makes the exact
-agreement check meaningful.
+Dense backend: the full statevector as int8 signed counts, the amplitudes
+times 2^(h/2), from which it reads the all-zero outcome's probability as an
+exact rational.  The gates run on the 2^h basis words that the Hadamard
+layer spreads over, held as one int64 array with a sign per word, and the
+signed words are added into the state once at the end.  This is the
+sum-over-paths view of H + Toffoli circuits (Dawson et al., QIC 5, 2005),
+but it shares no lowering and no acceptance math with the path-sum
+backend, which is what makes the exact agreement check meaningful.
 
 Both backends read each body gate's action (a flip of targets under
 controls, a phase flip or a table load) from the gate table in `ir.py`, and
@@ -633,94 +632,73 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
     return SimOutcome(signed_sum, exponent, n_branches, n_accepted, p_acc)
 
 
-def _pinned(psi: np.ndarray, pins, frame: int = 0) -> np.ndarray:
-    """View with axis -1-p at bit b ^ (bit p of frame) for each (p, b).
-
-    p is a place of `_dense_layout`; in the returned state's order it is
-    the qubit.
-    """
+def _pinned(psi: np.ndarray, pins) -> np.ndarray:
+    """View of a (2,)*n state with qubit q's axis n-1-q at bit b, for each (q, b)."""
     key = [slice(None)] * psi.ndim
-    for p, b in pins:
-        b ^= (frame >> p) & 1
-        key[-1 - p] = slice(b, b + 1)
+    for q, b in pins:
+        key[-1 - q] = slice(b, b + 1)
     return psi[tuple(key)]
-
-
-def _flip(view: np.ndarray, places) -> None:
-    """X on the axis -1-p of every p in `places`, in place on `view`."""
-    axes = tuple(-1 - p for p in places)
-    if axes:
-        view[...] = np.flip(view, axis=axes)
-
-
-def _dense_layout(n_qubits: int, ops: list[tuple]) -> list[int]:
-    """Place of each qubit, counted from the innermost axis: the qubits that
-    the fewest body gates touch sit innermost, ties in qubit order.
-
-    A gate touches its controls, targets, phase qubit, or a load's address
-    and data.  An uncontrolled X only toggles the frame, so it touches
-    nothing.  Pins and flips of much-touched qubits then cut the state along
-    outer axes, leaving long contiguous runs for numpy to copy.
-    """
-    touched = [0] * n_qubits
-    for op in ops:
-        if op[0] == "z":
-            touched[op[1]] += 1
-        elif op[1]:
-            for q in (*op[1], *op[2]):
-                touched[q] += 1
-    place = [0] * n_qubits
-    for p, q in enumerate(sorted(range(n_qubits), key=touched.__getitem__)):
-        place[q] = p
-    return place
 
 
 def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     """Full state after the circuit body as int8 counts, the amplitudes times 2^(h/2).
 
-    Shape (2,)*n, qubit q on axis n-1-q, returned flat.  While the gates
-    run, qubit q sits instead on axis -1-place[q] (see `_dense_layout`),
-    and the state is transposed back at the end.  The H layer is one store
-    of 1 into the 2^h words whose other qubits are 0.  A body gate acts in
-    place on the view pinning its controls; a flip with none toggles
-    `frame`, one bit per place, applied with the transpose.
+    Flat, index bit q holding qubit q.  The gates run on the 2^h basis
+    words that the Hadamard layer spreads over (branch b sets the layer's
+    t-th target to bit t of b) and on one sign per word, not on the state:
+    a flip XORs its targets into the words whose controls are all 1, a
+    phase flip toggles the signs of the words with its qubit set, and a
+    load XORs in each word's data mask, looked up by its address bits
+    (missing addresses load 0).  The signed words are then added into the
+    state, so words that coincide add up.
     """
     n = circuit.n_qubits
     check_dense_cap(n, cap)
+    state = np.zeros(1 << n, dtype=np.int8)
     h_targets = _h_prefix(circuit)
     _body_kinds(body := circuit.gates[len(h_targets):])
-    ops = [gate.action() for gate in body]
-    place = _dense_layout(n, ops)
-    psi = np.zeros((2,) * n, dtype=np.int8)
-    _pinned(psi, ((place[q], 0) for q in range(n) if q not in h_targets))[...] = 1
-    frame = 0
-    for op in ops:
+    branches = np.arange(1 << len(h_targets), dtype=np.int64)
+    words = np.zeros_like(branches)
+    for t, q in enumerate(h_targets):
+        words |= (branches >> t & 1) << q
+    negative = np.zeros(len(words), dtype=bool)
+    for gate in body:
+        op = gate.action()
         if op[0] == "flip":
             _, controls, targets = op
+            tmask = sum([1 << t for t in targets])
             if controls:
-                _flip(_pinned(psi, ((place[c], 1) for c in controls), frame),
-                      (place[t] for t in targets))
+                cmask = sum([1 << c for c in controls])
+                words ^= (words & cmask == cmask) * tmask
             else:
-                frame ^= sum(1 << place[t] for t in targets)
+                words ^= tmask
         elif op[0] == "z":
-            _pinned(psi, ((place[op[1]], 1),), frame)[...] *= -1
+            negative ^= words >> op[1] & 1 == 1
         else:
             _, address, data, table_id = op
-            # Addresses missing from the table load 0: nothing to flip.
-            for entry, value in circuit.tables[table_id].entries:
-                pins = ((place[q], (entry >> j) & 1) for j, q in enumerate(address))
-                flips = (place[q] for j, q in enumerate(data) if (value >> j) & 1)
-                _flip(_pinned(psi, pins, frame), flips)
-    psi = np.flip(psi, axis=tuple(-1 - p for p in range(n) if (frame >> p) & 1))
-    return psi.transpose([-1 - place[q] for q in reversed(range(n))]).reshape(-1)
+            entries = np.array(circuit.tables[table_id].entries, dtype=np.int64).reshape(-1, 2)
+            masks = np.zeros(1 << len(address), dtype=np.int64)
+            masks[entries[:, 0]] = (entries[:, 1:] >> np.arange(len(data)) & 1) @ (
+                1 << np.array(data, dtype=np.int64))
+            index = np.zeros_like(words)
+            for j, q in enumerate(address):
+                index |= (words >> q & 1) << j
+            words ^= masks[index]
+    np.add.at(state, words, np.where(negative, -1, 1).astype(np.int8))
+    return state
 
 
 def dense_acceptance(circuit: Circuit, state: np.ndarray) -> Fraction:
     """Exact probability of the all-zero outcome: sum(kept^2) / 2^(h + #x).
 
-    `kept` is an int64 copy of the Z-projected counts; each X-measured qubit's
-    Hadamard, less its 1/sqrt(2), keeps the |0> half as a+b and so at most
-    doubles `simulate_dense`'s 0/+-1 counts: the sum is at most 2^(n-#z+#x).
+    `kept` starts as the view of the Z-projected counts.  Each X-measured
+    qubit's Hadamard, less its 1/sqrt(2), keeps the |0> half as a+b, added
+    from the two halves of `kept` into a new array, so the caller's state
+    is never copied whole or changed.  An a+b at most doubles a magnitude,
+    so the first eight sums are int16, which holds any int8 count doubled
+    eight times (128 * 2^8 = 2^15), and later ones int64.  For
+    `simulate_dense`'s 0/+-1 counts the sum of squares is at most
+    2^(n-#z+#x).
     """
     plan = circuit.measurement
     if plan is None:
@@ -730,7 +708,9 @@ def dense_acceptance(circuit: Circuit, state: np.ndarray) -> Fraction:
         raise CapExceededError(f"a sum of up to 2^{bits} overflows int64")
     if state.dtype != np.int8 or state.size != 1 << n:
         raise SimulationError(f"{state.size} {state.dtype} values are not {n}-qubit int8 counts")
-    kept = _pinned(state.reshape((2,) * n), ((q, 0) for q in plan.z_qubits)).astype(np.int64)
-    for q in plan.x_qubits:
-        kept = _pinned(kept, ((q, 0),)) + _pinned(kept, ((q, 1),))
+    kept = _pinned(state.reshape((2,) * n), ((q, 0) for q in plan.z_qubits))
+    for i, q in enumerate(plan.x_qubits):
+        kept = np.add(_pinned(kept, ((q, 0),)), _pinned(kept, ((q, 1),)),
+                      dtype=np.int16 if i < 8 else np.int64)
+    kept = kept.astype(np.int64, copy=False)
     return Fraction(int(np.vdot(kept, kept)), 1 << (circuit.h_layer_size + len(plan.x_qubits)))

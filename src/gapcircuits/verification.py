@@ -32,6 +32,7 @@ from .builders import (
     denom_exponent,
     family_lookup,
     hadamard_count,
+    instance_qubits,
     qubit_formula,
     PROBLEM_3SUM,
     PROBLEM_NWT,
@@ -44,6 +45,7 @@ from .simulator import (
     DENSE_CAP_DEFAULT,
     SimOutcome,
     check_branch_cap,
+    check_dense_cap,
     dense_acceptance,
     simulate_dense,
     simulate_pathsum,
@@ -371,10 +373,13 @@ def verify_instance(instance: Instance, mode: str = MODE_QRAM, *, with_dense: bo
                     jobs: int = 1) -> VerifyResult:
     """Build one mode of the instance's circuit and verify it.
 
-    The branch cap is checked before the build, from the closed-form
-    Hadamard count: an nwt weight table alone has 4^r entries.
+    The branch cap, and with `with_dense` the dense cap, are checked before
+    the build, from the closed-form Hadamard and qubit counts: an nwt weight
+    table alone has 4^r entries.
     """
     check_branch_cap(hadamard_count(instance), branch_cap)
+    if with_dense:
+        check_dense_cap(instance_qubits(instance), dense_cap)
     built = build_circuit(instance, mode)
     return verify_built(instance, built, with_dense=with_dense, dense_cap=dense_cap,
                         branch_cap=branch_cap, jobs=jobs)

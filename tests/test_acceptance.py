@@ -10,9 +10,9 @@ Criterion map:
       distinct values than exist are impossible and noted, not tested)
    3  nwt identity, n in {2..6}, bound in {1,2,3}
    4  p_acc = 0 exactly iff the oracle gap is 0
-   5  dense and path-sum p_acc equal as exact rationals on 100+ instances
-      of at most 22 qubits, hence within 1e-9, and within 1e-6 once both
-      are scaled by 2^k
+   5  dense and path-sum p_acc equal as exact rationals, both modes, on
+      every ov and 3sum cell of at most 22 qubits, 5 instances each (100+),
+      hence within 1e-9, and within 1e-6 once both are scaled by 2^k
    6  qubit-count formulas hold exactly
    7  per-step gate counts within the closed-form bounds; standalone
       arithmetic tallies exact
@@ -132,40 +132,30 @@ def test_criterion_04_gap_dichotomy():
 
 
 def _agreement_cells():
-    """(builder, params, trials, modes) for every cell that fits 22 qubits.
+    """(builder, params) for every cell that fits 22 qubits.
 
-    Trials and mode coverage taper with size: a 22-qubit dense run costs
-    seconds, a 16-qubit one milliseconds.  Cells too big for both modes
-    alternate which mode they exercise.  The smallest nwt circuit needs 26
-    qubits, so only ov and 3sum appear here.
+    Each cell runs 5 trials in both modes.  The smallest nwt circuit needs
+    26 qubits, so only ov and 3sum appear here.
     """
     cells = []
     for n, d in OV_GRID:
-        qubits = qubit_formula("ov", derive_index_width(n), d)
-        if qubits > 22:
-            continue
-        trials = 5 if qubits <= 16 else (2 if qubits <= 19 else 1)
-        modes = MODES if qubits <= 20 else (MODES[len(cells) % 2],)
-        cells.append((generate_ov, (n, d), trials, modes))
+        if qubit_formula("ov", derive_index_width(n), d) <= 22:
+            cells.append((generate_ov, (n, d)))
     for u in (1, 2, 3):
         for n in range(1, min(6, 2 * u + 1) + 1):
-            qubits = qubit_formula("3sum", derive_index_width(n), derive_sum_width(u))
-            if qubits > 22:
-                continue
-            trials = 5 if qubits <= 18 else 1
-            modes = MODES if qubits <= 20 else (MODES[len(cells) % 2],)
-            cells.append((generate_threesum, (n, u), trials, modes))
+            if qubit_formula("3sum", derive_index_width(n), derive_sum_width(u)) <= 22:
+                cells.append((generate_threesum, (n, u)))
     return cells
 
 
 def test_criterion_05_backend_agreement():
     instances = circuits = 0
     worst = worst_scaled = 0.0
-    for gen, params, trials, modes in _agreement_cells():
-        for trial in range(trials):
+    for gen, params in _agreement_cells():
+        for trial in range(5):
             inst = gen(*params, seed=stable_seed("agreement", gen.__name__, *params, trial))
             instances += 1
-            for mode in modes:
+            for mode in MODES:
                 built = build_circuit(inst, mode)
                 outcome = simulate_pathsum(built.circuit)
                 dense = dense_acceptance(built.circuit, simulate_dense(built.circuit))

@@ -211,6 +211,23 @@ def test_simulate_refuses_dense_cap_before_building(tmp_path, monkeypatch, capsy
         main(["simulate", str(inst), "--dense-cap", "1"])
 
 
+def test_verify_refuses_dense_cap_before_building(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "nwt", "-n", "2", "--bound", "1", "--seed", "0", "--out", str(inst)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the caps were checked")
+
+    monkeypatch.setattr(verification, "build_circuit", refuse)
+    assert main(["verify", str(inst), "--dense"]) == 3
+    assert main(["verify", str(inst), "--dense", "--mode", "both"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: 26 qubits exceed the dense cap of 22") == 2
+    # without the dense cross-check there is no qubit cap to refuse on
+    with pytest.raises(AssertionError, match="built before"):
+        main(["verify", str(inst)])
+
+
 def test_verify_report_and_determinism(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     out = tmp_path / "report.json"

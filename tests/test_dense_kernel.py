@@ -7,9 +7,10 @@ branches that land on it.  `dense_acceptance` must equal the acceptance
 probability marginalized from those counts, and the exact path-sum
 probability whenever the path-sum backend returns one (it refuses circuits
 whose unmeasured qubits end in more than one state over the accepted
-branches).  Every comparison is exact, also with the qubits' axes forced
-into a drawn order.  The dense backend must not depend on the lowering
-that the path-sum backend uses.
+branches).  Every comparison is exact, and the readout stays exact on
+full-scale int8 states too, past the step where its counts widen.  The
+dense backend must not depend on the lowering that the path-sum backend
+uses.
 """
 
 from collections import defaultdict
@@ -87,32 +88,11 @@ def test_dense_matches_reference_interpreter(h, data):
     _check_against_reference(circuit)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_dense_matches_reference_under_any_layout(data):
-    # The count rule often keeps small circuits near qubit order, so force
-    # a drawn order: only then does every pin, flip and frame bit go
-    # through a mapping that differs from the identity.
-    n = data.draw(st.integers(4, 8))
-    circuit = random_circuit(data, n, data.draw(st.integers(0, 5)))
-    place = data.draw(st.permutations(range(n)))
-    calls = []
-
-    def forced(n_qubits, ops):
-        calls.append(n_qubits)
-        return list(place)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_dense_layout", forced)
-        _check_against_reference(circuit)
-    assert calls == [n]
-
-
-def test_dense_layout_puts_untouched_qubits_innermost():
+def test_dense_x_load_toffoli_z():
     circuit = new_circuit([("q", 5)])
     circuit.begin_step("body")
     circuit.add(H(0))
-    circuit.add(X(4))  # only toggles the frame: touches nothing
+    circuit.add(X(4))
     table = circuit.add_table(DataTable("t", 2, 1, ((1, 1), (3, 1))))
     circuit.add(QramLoad((0, 1), (2,), table))
     circuit.add(Toffoli(0, 1, 3))
@@ -120,10 +100,20 @@ def test_dense_layout_puts_untouched_qubits_innermost():
     circuit.add(Z(0))
     circuit.add(Toffoli(0, 1, 3))
     circuit.set_measurement((2,), (0,), (1, 3, 4))
-    body = [gate.action() for gate in circuit.gates[1:]]
-    # touched by 5, 4, 1, 2 and 0 gates: qubit 4 innermost, qubit 0 outermost
-    assert simulator._dense_layout(5, body) == [4, 3, 1, 2, 0]
     _check_against_reference(circuit)
+
+
+@pytest.mark.parametrize("count", [127, -128])
+def test_dense_readout_exact_on_full_scale_counts(count):
+    # Nine X-measured qubits take every count through nine doublings, one
+    # past what int16 holds: the readout must widen before the ninth.
+    circuit = new_circuit([("q", 11)])
+    circuit.begin_step("body")
+    circuit.set_measurement((0,), tuple(range(1, 10)), (10,))
+    state = np.full(1 << 11, count, dtype=np.int8)
+    expected = _reference_acceptance(circuit, [count] * (1 << 11))
+    assert expected == Fraction(2 * (count * 2 ** 9) ** 2, 2 ** 9)
+    assert dense_acceptance(circuit, state) == expected
 
 
 def test_dense_zero_mask_and_missing_addresses():
