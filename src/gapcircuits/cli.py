@@ -208,8 +208,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                    *(f"{k}={params[k]}" for k in sorted(params)), trial)
                 tasks.append((problem, params, trial, seed, args.branch_cap))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A fork-started pool starts all its workers at once, so never more than tasks.
+    if (workers := min(args.jobs, len(tasks))) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_trial, tasks))
     else:
         rows = [_run_trial(task) for task in tasks]

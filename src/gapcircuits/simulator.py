@@ -8,51 +8,51 @@ regardless of its bit.  With S the signed count of accepted branches, the
 acceptance probability is exactly S^2 / 2^(h + #x_measured), computed as an
 exact rational.
 
-The path-sum kernel is bit-sliced.  Within a chunk of branches lo..hi-1,
-qubit q is one Python int column whose bit i holds qubit q of branch lo+i,
-and one more column marks the branches whose sign is -1.  X, CX, Toffoli
-and bitmask flips become XOR and AND of whole columns, a phase flip XORs a
-column into the sign column, and a table lookup gathers from the table by
-the unpacked address bits.  An explicit loader's X-framed bitmask flips
-lower to one run: its X gates fold into a pending frame, and the kernel
-walks the run's sorted address patterns, computing each AND prefix they
-share once, as in unary iteration (Babbush et al., PRX 8, 041015, 2018).
-The accepted count and signed sum are popcounts of the accepted-branch
-column, so they stay exact.
+The path-sum kernel is bit-sliced.  Qubit q is one Python int column whose
+bit i holds qubit q of branch i, and one more column marks the branches
+whose sign is -1.  X, CX, Toffoli and bitmask flips become XOR and AND of
+whole columns, a phase flip XORs a column into the sign column, and a table
+lookup gathers from the table by the unpacked address bits.  An explicit
+loader's X-framed bitmask flips lower to one run: its X gates fold into a
+pending frame, and the kernel walks the run's sorted address patterns,
+computing each AND prefix they share once, as in unary iteration (Babbush
+et al., PRX 8, 041015, 2018).  The accepted count and signed sum are
+popcounts of the accepted-branch column, so they stay exact.
 
-Above one default chunk of 2^16 branches (h > 16, the `_FLAT_MAX_H` rule),
-each column keeps its support: the branch variables, that is Hadamard bits,
-it may depend on.  A column over k variables is an int of 2^k bits, bit i
-holding the value at the assignment i of those variables, lowest first.
-Supports are fixed in the lowering: a flip's targets gain its controls'
-supports, a load's or run's data its address's, and a phase flip adds to
-the sign column's.  Where supports meet, the lowering inserts a "widen"
-op, which broadcasts a column over new variables by repeating whole blocks
-of its packed bits; a flip that undoes an earlier one copies saved columns
-back, so a register restored by uncomputation narrows again.  A loader
-over register i then works on 2^r bits, not 2^h, and an address is
-widened into temporaries, so it keeps that support.  The readout widens the
-Z-measured, unmeasured and sign columns to their common support, and each
-of their bits stands for 2^(h - |support|) branches.  In this regime a
-chunk fixes only the variables from `_SUPPORT_FREE_VARS` = 20 up, so no
-column passes 2^20 bits (128 KB) and circuits of up to 2^20 branches run
-as one chunk.  Circuits with h <= 16 keep the flat lowering: there, the
-support bookkeeping costs more than it saves.
+Above 2^16 branches (h > 16, the `_FLAT_MAX_H` rule), each column keeps its
+support: the branch variables, that is Hadamard bits, it may depend on.  A
+column over k variables is an int of 2^k bits, bit i holding the value at
+the assignment i of those variables, lowest first.  Supports are fixed in
+the lowering: a flip's targets gain its controls' supports, a load's or
+run's data its address's, and a phase flip adds to the sign column's.
+Where supports meet, the lowering inserts a "widen" op, which broadcasts a
+column over new variables by repeating whole blocks of its packed bits; a
+flip that undoes an earlier one copies saved columns back, so a register
+restored by uncomputation narrows again.  A loader over register i then
+works on 2^r bits, not 2^h, and an address is widened into temporaries, so
+it keeps that support.  The readout widens the Z-measured, unmeasured and
+sign columns to their common support, and each of their bits stands for
+2^(h - |support|) branches.  In this regime a chunk fixes only the
+variables from `_SUPPORT_FREE_VARS` = 20 up, so no column passes 2^20 bits
+(128 KB) and circuits of up to 2^20 branches run as one chunk.  Circuits
+with h <= 16 keep the flat lowering: there, the support bookkeeping costs
+more than it saves.
 
 Dense backend: the full statevector as int8 signed counts, the amplitudes
 times 2^(h/2), from which it reads the all-zero outcome's probability as an
-exact rational.  The gates run on the 2^h basis words that the Hadamard
-layer spreads over, held as one int64 array with a sign per word, and the
-signed words are added into the state once at the end.  This is the
-sum-over-paths view of H + Toffoli circuits (Dawson et al., QIC 5, 2005),
-but it shares no lowering and no acceptance math with the path-sum
-backend, which is what makes the exact agreement check meaningful.
+exact rational.  The gates run through `apply_gates`'s word loop on the
+2^h basis words that the Hadamard layer spreads over, held as one int64
+array with a sign per word, and the signed words are added into the state
+once at the end.  This is the sum-over-paths view of H + Toffoli circuits
+(Dawson et al., QIC 5, 2005), but it shares no lowering and no acceptance
+math with the path-sum backend, which is what makes the exact agreement
+check meaningful.
 
 Both backends read each body gate's action (a flip of targets under
-controls, a phase flip or a table load) from the gate table in `ir.py`, and
-the path-sum backend lowers it straight to qubit indices.  Only
-`apply_gates`'s int64 basis words limit the path-sum width, and the backend
-keeps an explicit 62-qubit cap; the dense backend has a much smaller one.
+controls, a phase flip or a table load) from the gate table in `ir.py`.
+The path sum lowers it straight to qubit indices and has no qubit limit of
+its own, but keeps `apply_gates`'s 62-qubit word cap for the benchmark's
+self-test; the dense backend has a much smaller cap.
 """
 
 from __future__ import annotations
@@ -69,17 +69,16 @@ from .ir import VOCABULARY, Circuit, H, MCBitmask, QramLoad, X
 
 DENSE_CAP_DEFAULT = 22
 BRANCH_CAP_DEFAULT = 24
-# The column kernel itself has no qubit limit; only `apply_gates`'s int64
-# words do.  Every path-sum call keeps the explicit 62-qubit cap because
-# the benchmark's self-test
+# `apply_gates` holds each basis word in an int64, so it refuses wider
+# circuits.  The column kernel has no qubit limit, but `simulate_pathsum`
+# keeps the same cap because the benchmark's self-test
 # (perfbench/test_bench.py::test_raised_error_counts_as_failed) relies on
-# 3sum n=64 U=1000, 65 qubits, being refused; lifting it means moving that
-# test to another cap in the same change.
+# 3sum n=64 U=1000, 65 qubits, being refused; lifting it there means moving
+# that test to another cap in the same change.
 _WORD_QUBIT_CAP = 62
-# Circuits whose branches fit in one default chunk (h <= 16) keep the flat
-# lowering, which is cheaper there; above it columns track their supports.
-_CHUNK_DEFAULT = 1 << 16
-_FLAT_MAX_H = _CHUNK_DEFAULT.bit_length() - 1
+# Circuits of up to 2^16 branches keep the flat lowering and run as one
+# chunk, which is cheaper there; above it columns track their supports.
+_FLAT_MAX_H = 16
 # A support-regime chunk fixes only the branch variables from this one up.
 _SUPPORT_FREE_VARS = 20
 _VARYING = "unmeasured qubits vary over the accepted branches; the path sum cannot add them"
@@ -114,7 +113,13 @@ def _body_kinds(gates: list) -> set[type]:
     return kinds
 
 
-def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
+def _check_word_cap(circuit: Circuit) -> None:
+    if circuit.n_qubits > _WORD_QUBIT_CAP:
+        raise CapExceededError(
+            f"{circuit.n_qubits} qubits exceed the {_WORD_QUBIT_CAP}-qubit word cap")
+
+
+def _compile_ops(circuit: Circuit, *, start: int) -> list[tuple]:
     """Lower gates[start:] to the column kernel's ops, which are the gates' actions.
 
     When two consecutive bitmask flips share controls and targets, as in an
@@ -124,9 +129,6 @@ def _compile_ops(circuit: Circuit, *, start: int = 0) -> list[tuple]:
     address, per data qubit that some entry sets.  With `start` Hadamards
     of the support regime, the ops are then rewritten by `_track_supports`.
     """
-    if circuit.n_qubits > _WORD_QUBIT_CAP:
-        raise CapExceededError(
-            f"{circuit.n_qubits} qubits exceed the {_WORD_QUBIT_CAP}-qubit word cap")
     kinds = _body_kinds(gates := circuit.gates[start:])
     previous = None
     for gate in gates:
@@ -487,52 +489,67 @@ def _apply_columns(ops: list[tuple], cols: list[int], full: int | None) -> int:
     return sign
 
 
+def _apply_words(circuit: Circuit, gates: list, words: np.ndarray) -> np.ndarray:
+    """Run permutation gates over int64 basis words in place; return where the sign flipped.
+
+    Word bit q holds qubit q.  A flip XORs its targets into the words whose
+    controls are all 1, a phase flip toggles the sign of the words with its
+    qubit set, and a load XORs in each word's data mask, looked up by its
+    address bits (missing addresses load 0).
+    """
+    negative = np.zeros(len(words), dtype=bool)
+    for gate in gates:
+        op = gate.action()
+        if op[0] == "flip":
+            _, controls, targets = op
+            tmask = sum([1 << t for t in targets])
+            if controls:
+                cmask = sum([1 << c for c in controls])
+                words ^= (words & cmask == cmask) * tmask
+            else:
+                words ^= tmask
+        elif op[0] == "z":
+            negative ^= words >> op[1] & 1 == 1
+        else:
+            _, address, data, table_id = op
+            entries = np.array(circuit.tables[table_id].entries, dtype=np.int64).reshape(-1, 2)
+            masks = np.zeros(1 << len(address), dtype=np.int64)
+            masks[entries[:, 0]] = (entries[:, 1:] >> np.arange(len(data)) & 1) @ (
+                1 << np.array(data, dtype=np.int64))
+            index = np.zeros_like(words)
+            for j, q in enumerate(address):
+                index |= (words >> q & 1) << j
+            words ^= masks[index]
+    return negative
+
+
 def apply_gates(circuit: Circuit, words: np.ndarray,
                 signs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Propagate packed basis words (int64) through the circuit's gates, in place.
 
-    Word bit q holds qubit q.  The words are transposed into columns, run
-    through the path-sum kernel, and transposed back; each sign is negated
-    once per phase flip its branch meets.  Only permutation gates are
-    allowed; an H raises.  Returns the same arrays for convenience.
+    This is the dense backend's word loop, `_apply_words`; it shares no
+    lowering with the path sum.  Each sign is negated once per phase flip
+    its word meets.  Only permutation gates are allowed; an H raises.
+    Returns the same arrays for convenience.
     """
+    _check_word_cap(circuit)
+    _body_kinds(circuit.gates)
     if signs is None:
         signs = np.ones(len(words), dtype=np.int64)
-    ops = _compile_ops(circuit)
-    count, qubits = len(words), np.arange(circuit.n_qubits, dtype=np.int64)[:, None]
-    cols = _pack(((words >> qubits) & 1).astype(np.uint8))
-    flips = _apply_columns(ops, cols, (1 << count) - 1)
-    words &= ~((1 << circuit.n_qubits) - 1)
-    words |= (_unpack(cols, count).astype(np.int64) << qubits).sum(axis=0, dtype=np.int64)
-    signs *= 1 - 2 * _unpack([flips], count)[0].astype(np.int64)
+    signs[_apply_words(circuit, circuit.gates, words)] *= -1
     return words, signs
 
 
-def _branch_columns(lo: int, hi: int, h: int) -> list[int]:
-    """Column t holds bit t of each branch index lo..hi-1 (hi <= 2^h).
-
-    Bit t of the offsets 0..n-1 is a periodic pattern built by doubling;
-    adding lo to every offset is a bit-sliced ripple-carry addition of a
-    constant.
-    """
-    n = hi - lo
-    full = (1 << n) - 1
-    cols, carry = [], 0
+def _branch_columns(h: int) -> list[int]:
+    """Column t holds bit t of each branch index 0..2^h-1, built by doubling."""
+    cols = []
     for t in range(h):
         half = 1 << t
-        offsets = 0
-        if half < n:
-            offsets, period = ((1 << half) - 1) << half, 2 * half
-            while period < n:
-                offsets |= offsets << period
-                period *= 2
-            offsets &= full
-        if (lo >> t) & 1:
-            cols.append(full & ~(offsets ^ carry))
-            carry |= offsets
-        else:
-            cols.append(offsets ^ carry)
-            carry &= offsets
+        column, period = ((1 << half) - 1) << half, 2 * half
+        while period < 1 << h:
+            column |= column << period
+            period *= 2
+        cols.append(column)
     return cols
 
 
@@ -560,15 +577,14 @@ def _h_prefix(circuit: Circuit) -> tuple[int, ...]:
 
 
 def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
-                     jobs: int = 1, chunk_size: int = _CHUNK_DEFAULT) -> SimOutcome:
+                     jobs: int = 1) -> SimOutcome:
     """Exact acceptance statistics by enumerating all 2^h Hadamard branches.
 
-    Branches are evaluated in chunks whose partial sums combine by integer
-    addition, so chunking and the thread count never change the result.
-    Below the support regime a chunk is `chunk_size` consecutive branches;
-    in it, a chunk fixes the variables from _SUPPORT_FREE_VARS up and
-    `chunk_size` is not used.  Raises SimulationError unless every
-    unmeasured qubit holds one value over all accepted branches.
+    Up to _FLAT_MAX_H Hadamards, every branch runs in one chunk.  Above it,
+    a chunk fixes the variables from _SUPPORT_FREE_VARS up, and the chunks'
+    partial sums combine by integer addition, so `jobs` threads never change
+    the result.  Raises SimulationError unless every unmeasured qubit holds
+    one value over all accepted branches.
     """
     plan = circuit.measurement
     if plan is None:
@@ -576,6 +592,7 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
     h_targets = _h_prefix(circuit)
     h = len(h_targets)
     check_branch_cap(h, branch_cap)
+    _check_word_cap(circuit)
     ops = _compile_ops(circuit, start=h)
     n_branches = 1 << h
 
@@ -594,15 +611,11 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
                 tuple(bits == accepted for bits in held) if accepted else None)
 
     if h <= _FLAT_MAX_H:
-        def run_chunk(lo: int):
-            hi = min(lo + chunk_size, n_branches)
-            full = (1 << (hi - lo)) - 1
-            cols = [0] * circuit.n_qubits
-            for q, column in zip(h_targets, _branch_columns(lo, hi, h)):
-                cols[q] = column
-            return tally(cols, full, _apply_columns(ops, cols, full), 0)
-
-        chunks = range(0, n_branches, chunk_size)
+        full = (1 << n_branches) - 1
+        cols = [0] * circuit.n_qubits
+        for q, column in zip(h_targets, _branch_columns(h)):
+            cols[q] = column
+        parts = [tally(cols, full, _apply_columns(ops, cols, full), 0)]
     else:
         free = min(h, _SUPPORT_FREE_VARS)
         sign, ones, _ = _slots(circuit.n_qubits)
@@ -618,11 +631,11 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
             return tally(cols, full, cols[sign], free - full.bit_length().bit_length() + 1)
 
         chunks = range(1 << (h - free))
-    if jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    else:
-        parts = [run_chunk(chunk) for chunk in chunks]
+        if jobs > 1 and len(chunks) > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                parts = list(pool.map(run_chunk, chunks))
+        else:
+            parts = [run_chunk(chunk) for chunk in chunks]
     if len({p[2] for p in parts} - {None}) > 1:
         raise SimulationError(_VARYING)
     signed_sum = sum(p[0] for p in parts)
@@ -643,14 +656,11 @@ def _pinned(psi: np.ndarray, pins) -> np.ndarray:
 def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     """Full state after the circuit body as int8 counts, the amplitudes times 2^(h/2).
 
-    Flat, index bit q holding qubit q.  The gates run on the 2^h basis
-    words that the Hadamard layer spreads over (branch b sets the layer's
-    t-th target to bit t of b) and on one sign per word, not on the state:
-    a flip XORs its targets into the words whose controls are all 1, a
-    phase flip toggles the signs of the words with its qubit set, and a
-    load XORs in each word's data mask, looked up by its address bits
-    (missing addresses load 0).  The signed words are then added into the
-    state, so words that coincide add up.
+    Flat, index bit q holding qubit q.  The body runs through `apply_gates`'s
+    word loop on the 2^h basis words that the Hadamard layer spreads over
+    (branch b sets the layer's t-th target to bit t of b), not on the state.
+    The signed words are then added into the state, so words that coincide
+    add up.
     """
     n = circuit.n_qubits
     check_dense_cap(n, cap)
@@ -661,29 +671,7 @@ def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndar
     words = np.zeros_like(branches)
     for t, q in enumerate(h_targets):
         words |= (branches >> t & 1) << q
-    negative = np.zeros(len(words), dtype=bool)
-    for gate in body:
-        op = gate.action()
-        if op[0] == "flip":
-            _, controls, targets = op
-            tmask = sum([1 << t for t in targets])
-            if controls:
-                cmask = sum([1 << c for c in controls])
-                words ^= (words & cmask == cmask) * tmask
-            else:
-                words ^= tmask
-        elif op[0] == "z":
-            negative ^= words >> op[1] & 1 == 1
-        else:
-            _, address, data, table_id = op
-            entries = np.array(circuit.tables[table_id].entries, dtype=np.int64).reshape(-1, 2)
-            masks = np.zeros(1 << len(address), dtype=np.int64)
-            masks[entries[:, 0]] = (entries[:, 1:] >> np.arange(len(data)) & 1) @ (
-                1 << np.array(data, dtype=np.int64))
-            index = np.zeros_like(words)
-            for j, q in enumerate(address):
-                index |= (words >> q & 1) << j
-            words ^= masks[index]
+    negative = _apply_words(circuit, body, words)
     np.add.at(state, words, np.where(negative, -1, 1).astype(np.int8))
     return state
 

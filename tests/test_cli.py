@@ -285,6 +285,37 @@ def test_sweep_jobs_equivalence(tmp_path):
     assert p1 == p2
 
 
+def test_sweep_pool_has_no_more_workers_than_tasks(capsys, monkeypatch):
+    # A fake pool records its size and runs the trials inline, so no worker
+    # process is started however large --jobs is.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    argv = ["sweep", "--problem", "ov", "--trials", "1"]
+    assert main(argv) == 0
+    serial = _strip_volatile(capsys.readouterr().out)
+    assert sizes == []
+    n_tasks = len(cli.SWEEP_CELLS["ov"])
+    for jobs, size in ((1, None), (2, 2), (n_tasks, n_tasks), (1000, n_tasks)):
+        sizes.clear()
+        assert main([*argv, "--jobs", str(jobs)]) == 0
+        assert _strip_volatile(capsys.readouterr().out) == serial
+        assert sizes == ([] if size is None else [size])
+
+
 def test_sweep_mutation_control(capsys, monkeypatch):
     controls = []
 

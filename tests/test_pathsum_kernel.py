@@ -1,18 +1,18 @@
-"""Differential test of the bit-sliced path-sum kernel.
+"""Differential test of the bit-sliced path-sum kernel and the word loop.
 
 Random circuits over the whole permutation vocabulary run through
-`simulate_pathsum` and `apply_gates`, and through the per-branch
-interpreter of `reference_interpreter`, which shares no lowering with the
-kernel.  Chunk sizes include ones below 64 branches and ones that are
-neither powers of two nor multiples of 64.  A circuit whose unmeasured
-qubits end in more than one state over the accepted branches must be
-refused, within a chunk or across chunks.
+`simulate_pathsum` and through the per-branch interpreter of
+`reference_interpreter`, which shares no lowering with the kernel.  The
+path sum runs in both of its regimes: the flat one, which is one chunk,
+and the support regime forced on by setting `_FLAT_MAX_H` to 0, once with
+every branch variable free and once with all but two fixed per chunk, so
+that up to 32 chunks add up.  A circuit whose unmeasured qubits end in
+more than one state over the accepted branches must be refused, within a
+chunk or across chunks.  Half the circuits end by undoing a prefix of
+their gates, which the support regime turns into copies of saved columns.
 
-The path sum runs in both of its regimes: the flat one, and the support
-regime forced on by setting `_FLAT_MAX_H` to 0, once with every branch
-variable free and once with all but two fixed per chunk.  Half the
-circuits end by undoing a prefix of their gates, which the support
-regime turns into copies of saved columns.
+`apply_gates`, the dense backend's word loop, runs random words through
+random circuits against the same interpreter.
 """
 
 import random
@@ -53,16 +53,15 @@ def _check_against_reference(data, h):
     circuit = random_circuit(data, data.draw(st.integers(max(h, 4), h + 4)), h,
                              mirror=data.draw(st.booleans()))
     signed_sum, n_accepted, varies = _reference_pathsum(circuit)
-    for chunk_size in (1, 3, 7, 64, 100, 1 << 16):
-        for jobs in (1, 2):
-            if varies:
-                with pytest.raises(SimulationError, match="unmeasured"):
-                    simulate_pathsum(circuit, chunk_size=chunk_size, jobs=jobs)
-                continue
-            out = simulate_pathsum(circuit, chunk_size=chunk_size, jobs=jobs)
-            assert (out.signed_sum, out.n_accepted, out.n_branches) == \
-                (signed_sum, n_accepted, 1 << h), (chunk_size, jobs)
-            assert out.p_acc * (1 << out.exponent) == signed_sum ** 2
+    for jobs in (1, 2):
+        if varies:
+            with pytest.raises(SimulationError, match="unmeasured"):
+                simulate_pathsum(circuit, jobs=jobs)
+            continue
+        out = simulate_pathsum(circuit, jobs=jobs)
+        assert (out.signed_sum, out.n_accepted, out.n_branches) == \
+            (signed_sum, n_accepted, 1 << h), jobs
+        assert out.p_acc * (1 << out.exponent) == signed_sum ** 2
 
 
 @pytest.mark.parametrize("h", [0, 1, 5, 7])
@@ -249,6 +248,7 @@ def test_flat_regime_keeps_the_flat_ops(mode):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_apply_gates_matches_reference_interpreter(data):
+    """The dense backend's word loop, run directly on random 62-bit words."""
     circuit = random_circuit(data, data.draw(st.integers(4, 10)), 0)
     words = data.draw(st.lists(st.integers(0, (1 << 62) - 1), max_size=150))
     signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(words),
@@ -266,6 +266,11 @@ def test_pathsum_refuses_varying_unmeasured_qubits():
     circuit.begin_step("1")
     circuit.add(H(0))
     circuit.set_measurement((), (), (0, 1, 2, 3))
-    for chunk_size in (1, 2):  # across chunks, then within one
-        with pytest.raises(SimulationError, match="unmeasured"):
-            simulate_pathsum(circuit, chunk_size=chunk_size)
+    with pytest.raises(SimulationError, match="unmeasured"):
+        simulate_pathsum(circuit)  # the flat regime: one chunk
+    for free in (0, 1):  # the support regime: across chunks, then within one
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_FLAT_MAX_H", 0)
+            patch.setattr(simulator, "_SUPPORT_FREE_VARS", free)
+            with pytest.raises(SimulationError, match="unmeasured"):
+                simulate_pathsum(circuit)

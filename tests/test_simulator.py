@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gapcircuits import simulator
 from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, build_circuit
 from gapcircuits.instancefile import generate_nwt, generate_ov, generate_threesum
 from gapcircuits.ir import CX, H, X, Z, new_circuit
@@ -78,11 +79,36 @@ def test_backends_agree_on_small_instances(mode):
         assert dense == pathsum.p_acc
 
 
-def test_chunking_and_jobs_do_not_change_the_outcome():
+def test_chunking_and_jobs_do_not_change_the_outcome(monkeypatch):
     built = build_circuit(generate_nwt(5, 2, seed=3), MODE_EXPLICIT)  # 2^9 branches
-    base = simulate_pathsum(built.circuit)
-    for kwargs in ({"chunk_size": 7}, {"chunk_size": 64, "jobs": 4}, {"jobs": 2}):
-        assert simulate_pathsum(built.circuit, **kwargs) == base
+    base = simulate_pathsum(built.circuit)  # flat: one chunk
+    # The support regime with two free variables: 2^7 chunks.
+    monkeypatch.setattr(simulator, "_FLAT_MAX_H", 0)
+    monkeypatch.setattr(simulator, "_SUPPORT_FREE_VARS", 2)
+    for jobs in (1, 2, 4):
+        assert simulate_pathsum(built.circuit, jobs=jobs) == base
+
+
+def _wide_cx(n, hadamard):
+    """H(0) if asked, then CX(0, n - 1); qubit n - 1 is Z-measured."""
+    circ = new_circuit([("q", n)])
+    circ.begin_step("1")
+    if hadamard:
+        circ.add(H(0))
+    circ.add(CX(0, n - 1))
+    circ.set_measurement((n - 1,), (0,), tuple(range(1, n - 1)))
+    return circ
+
+
+def test_word_cap():
+    # apply_gates holds a basis word in an int64; the path sum keeps its cap.
+    words = np.array([1, 0], dtype=np.int64)
+    assert apply_gates(_wide_cx(62, False), words)[0].tolist() == [1 | 1 << 61, 0]
+    assert simulate_pathsum(_wide_cx(62, True)).n_accepted == 1
+    with pytest.raises(CapExceededError, match="63 qubits exceed the 62-qubit word cap"):
+        apply_gates(_wide_cx(63, False), words)
+    with pytest.raises(CapExceededError, match="63 qubits exceed the 62-qubit word cap"):
+        simulate_pathsum(_wide_cx(63, True))
 
 
 def test_branch_cap():
