@@ -7,7 +7,7 @@ all-zero / all-plus outcome equals gap^2 / 2^k exactly, where gap counts
 solutions against non-solutions and k is fixed by the instance shape.
 
 The package provides the builders, two exact simulators (path-sum and
-dense statevector), brute-force oracles, a gate-count accountant with
+dense signed basis words), brute-force oracles, a gate-count accountant with
 closed-form per-step bounds, text and JSON file formats, and a CLI.
 """
 
@@ -79,7 +79,6 @@ from .ir import (
 from .simulator import (
     BRANCH_CAP_DEFAULT,
     CapExceededError,
-    DENSE_CAP_DEFAULT,
     SimOutcome,
     SimulationError,
     apply_gates,

@@ -34,7 +34,6 @@ from .builders import (
     PROBLEM_OV,
     build_circuit,
     hadamard_count,
-    instance_qubits,
 )
 from .instancefile import (
     BUDGETS,
@@ -48,10 +47,8 @@ from .ir import BitString, CircuitError, Z
 from .simulator import (
     BRANCH_CAP_DEFAULT,
     CapExceededError,
-    DENSE_CAP_DEFAULT,
     SimulationError,
     check_branch_cap,
-    check_dense_cap,
     dense_acceptance,
     simulate_dense,
     simulate_pathsum,
@@ -104,8 +101,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _load_circuit_arg(args: argparse.Namespace):
     """A circuit argument is instance JSON or built-circuit text; sniff by shape.
 
-    An instance is checked against the caps of the chosen backends before
-    it is built: an nwt weight table alone has 4^r entries.
+    An instance is checked against the branch cap, which bounds every
+    backend, before it is built: an nwt weight table alone has 4^r entries.
     """
     try:
         text = Path(args.circuit).read_text()
@@ -113,10 +110,7 @@ def _load_circuit_arg(args: argparse.Namespace):
         raise InstanceError(f"cannot read {args.circuit}: {exc}") from exc
     if text.lstrip().startswith("{"):
         instance = instance_from_text(text)
-        if args.backend != "dense":
-            check_branch_cap(hadamard_count(instance), args.branch_cap)
-        if args.backend != "pathsum":
-            check_dense_cap(instance_qubits(instance), args.dense_cap)
+        check_branch_cap(hadamard_count(instance), args.branch_cap)
         return build_circuit(instance, args.mode)
     return built_from_text(text)
 
@@ -134,7 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                              "p_acc_float": float(outcome.p_acc)}
     if args.backend in ("dense", "both"):
         dense_value = dense_acceptance(built.circuit,
-                                       simulate_dense(built.circuit, cap=args.dense_cap))
+                                       simulate_dense(built.circuit, branch_cap=args.branch_cap))
         report["dense"] = {"p_acc": float(dense_value)}
     if args.backend == "both":
         report["agree"] = dense_agrees(dense_value, outcome)
@@ -149,8 +143,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     modes = [MODE_QRAM, MODE_EXPLICIT] if args.mode == "both" else [args.mode]
     results = [
-        verify_instance(instance, mode, with_dense=args.dense, dense_cap=args.dense_cap,
-                        branch_cap=args.branch_cap, jobs=args.jobs)
+        verify_instance(instance, mode, with_dense=args.dense, branch_cap=args.branch_cap,
+                        jobs=args.jobs)
         for mode in modes
     ]
     print(f"generated: {_timestamp()}")
@@ -253,8 +247,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT,
-                        help="qubit cap for the dense backend")
     parser.add_argument("--branch-cap", type=int, default=BRANCH_CAP_DEFAULT,
                         help="log2 cap on enumerated branches")
     parser.add_argument("--jobs", type=int, default=1, help="worker threads or processes")

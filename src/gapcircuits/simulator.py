@@ -38,21 +38,23 @@ variables from `_SUPPORT_FREE_VARS` = 20 up, so no column passes 2^20 bits
 with h <= 16 keep the flat lowering: there, the support bookkeeping costs
 more than it saves.
 
-Dense backend: the full statevector as int8 signed counts, the amplitudes
-times 2^(h/2), from which it reads the all-zero outcome's probability as an
-exact rational.  The gates run through `apply_gates`'s word loop on the
-2^h basis words that the Hadamard layer spreads over, held as one int64
-array with a sign per word, and the signed words are added into the state
-once at the end.  This is the sum-over-paths view of H + Toffoli circuits
-(Dawson et al., QIC 5, 2005), but it shares no lowering and no acceptance
-math with the path-sum backend, which is what makes the exact agreement
-check meaningful.
+Dense backend: the 2^h signed basis words themselves.  The Hadamard layer
+spreads the all-zero state over 2^h basis words, one per branch, and the
+gates run through `apply_gates`'s word loop on them, held as one int64
+array with a sign per word.  The readout drops the words with a Z-measured
+bit set, clears the X-measured bits and adds up the signs of the words
+that then coincide: each sum is one unmeasured assignment's amplitude
+times 2^((h + #x)/2), so the acceptance probability is the sum of their
+squares over 2^(h + #x), an exact rational.  This is the sum-over-paths
+view of H + Toffoli circuits (Dawson et al., QIC 5, 2005), but it shares
+no lowering and no acceptance math with the path-sum backend, which is
+what makes the exact agreement check meaningful.
 
 Both backends read each body gate's action (a flip of targets under
-controls, a phase flip or a table load) from the gate table in `ir.py`.
-The path sum lowers it straight to qubit indices and has no qubit limit of
-its own, but keeps `apply_gates`'s 62-qubit word cap for the benchmark's
-self-test; the dense backend has a much smaller cap.
+controls, a phase flip or a table load) from the gate table in `ir.py`,
+and both check the branch cap.  The path sum lowers each action straight
+to qubit indices and has no qubit limit of its own, but keeps the dense
+words' 62-qubit cap for the benchmark's self-test.
 """
 
 from __future__ import annotations
@@ -67,11 +69,10 @@ import numpy as np
 
 from .ir import VOCABULARY, Circuit, H, MCBitmask, QramLoad, X
 
-DENSE_CAP_DEFAULT = 22
 BRANCH_CAP_DEFAULT = 24
-# `apply_gates` holds each basis word in an int64, so it refuses wider
-# circuits.  The column kernel has no qubit limit, but `simulate_pathsum`
-# keeps the same cap because the benchmark's self-test
+# `apply_gates` and `simulate_dense` hold each basis word in an int64, so
+# they refuse wider circuits.  The column kernel has no qubit limit, but
+# `simulate_pathsum` keeps the same cap because the benchmark's self-test
 # (perfbench/test_bench.py::test_raised_error_counts_as_failed) relies on
 # 3sum n=64 U=1000, 65 qubits, being refused; lifting it there means moving
 # that test to another cap in the same change.
@@ -559,12 +560,6 @@ def check_branch_cap(h: int, branch_cap: int) -> None:
         raise CapExceededError(f"2^{h} branches exceed the 2^{branch_cap} branch cap")
 
 
-def check_dense_cap(n_qubits: int, cap: int) -> None:
-    """Refuse a statevector of more than `cap` qubits."""
-    if n_qubits > cap:
-        raise CapExceededError(f"{n_qubits} qubits exceed the dense cap of {cap}")
-
-
 def _h_prefix(circuit: Circuit) -> tuple[int, ...]:
     h = circuit.h_layer_size
     prefix = circuit.gates[:h]
@@ -645,60 +640,51 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
     return SimOutcome(signed_sum, exponent, n_branches, n_accepted, p_acc)
 
 
-def _pinned(psi: np.ndarray, pins) -> np.ndarray:
-    """View of a (2,)*n state with qubit q's axis n-1-q at bit b, for each (q, b)."""
-    key = [slice(None)] * psi.ndim
-    for q, b in pins:
-        key[-1 - q] = slice(b, b + 1)
-    return psi[tuple(key)]
+def simulate_dense(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT) -> np.ndarray:
+    """The 2^h signed basis words after the circuit body, as one (2, 2^h) int64 array.
 
-
-def simulate_dense(circuit: Circuit, *, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Full state after the circuit body as int8 counts, the amplitudes times 2^(h/2).
-
-    Flat, index bit q holding qubit q.  The body runs through `apply_gates`'s
-    word loop on the 2^h basis words that the Hadamard layer spreads over
-    (branch b sets the layer's t-th target to bit t of b), not on the state.
-    The signed words are then added into the state, so words that coincide
-    add up.
+    Row 0 holds the words, bit q holding qubit q, and row 1 their signs
+    (+-1).  Branch b, column b, sets the Hadamard layer's t-th target to bit
+    t of b, and the body runs through `apply_gates`'s word loop.  Words may
+    coincide; `dense_acceptance` adds them up.
     """
-    n = circuit.n_qubits
-    check_dense_cap(n, cap)
-    state = np.zeros(1 << n, dtype=np.int8)
     h_targets = _h_prefix(circuit)
+    check_branch_cap(len(h_targets), branch_cap)
+    _check_word_cap(circuit)
     _body_kinds(body := circuit.gates[len(h_targets):])
+    signed = np.zeros((2, 1 << len(h_targets)), dtype=np.int64)
+    words = signed[0]
     branches = np.arange(1 << len(h_targets), dtype=np.int64)
-    words = np.zeros_like(branches)
     for t, q in enumerate(h_targets):
         words |= (branches >> t & 1) << q
-    negative = _apply_words(circuit, body, words)
-    np.add.at(state, words, np.where(negative, -1, 1).astype(np.int8))
-    return state
+    signed[1] = np.where(_apply_words(circuit, body, words), -1, 1)
+    return signed
 
 
-def dense_acceptance(circuit: Circuit, state: np.ndarray) -> Fraction:
-    """Exact probability of the all-zero outcome: sum(kept^2) / 2^(h + #x).
+def dense_acceptance(circuit: Circuit, signed: np.ndarray) -> Fraction:
+    """Exact probability of the all-zero outcome from `simulate_dense`'s words.
 
-    `kept` starts as the view of the Z-projected counts.  Each X-measured
-    qubit's Hadamard, less its 1/sqrt(2), keeps the |0> half as a+b, added
-    from the two halves of `kept` into a new array, so the caller's state
-    is never copied whole or changed.  An a+b at most doubles a magnitude,
-    so the first eight sums are int16, which holds any int8 count doubled
-    eight times (128 * 2^8 = 2^15), and later ones int64.  For
-    `simulate_dense`'s 0/+-1 counts the sum of squares is at most
-    2^(n-#z+#x).
+    The words with a Z-measured bit set are dropped.  Each X-measured
+    qubit's Hadamard, less its 1/sqrt(2), adds the words that differ only
+    there, so those bits are cleared, the words sorted, and the signs of
+    each run of equal words added: each sum `amp` is one unmeasured
+    assignment's amplitude times 2^((h + #x)/2), and p = sum(amp^2) /
+    2^(h + #x).  The |amp| add up to at most 2^h, so the int64 sum of
+    squares holds up to h = 31.
     """
     plan = circuit.measurement
     if plan is None:
         raise SimulationError("circuit has no measurement plan")
-    n = circuit.n_qubits
-    if (bits := n - len(plan.z_qubits) + len(plan.x_qubits)) > 62:
-        raise CapExceededError(f"a sum of up to 2^{bits} overflows int64")
-    if state.dtype != np.int8 or state.size != 1 << n:
-        raise SimulationError(f"{state.size} {state.dtype} values are not {n}-qubit int8 counts")
-    kept = _pinned(state.reshape((2,) * n), ((q, 0) for q in plan.z_qubits))
-    for i, q in enumerate(plan.x_qubits):
-        kept = np.add(_pinned(kept, ((q, 0),)), _pinned(kept, ((q, 1),)),
-                      dtype=np.int16 if i < 8 else np.int64)
-    kept = kept.astype(np.int64, copy=False)
-    return Fraction(int(np.vdot(kept, kept)), 1 << (circuit.h_layer_size + len(plan.x_qubits)))
+    if (h := circuit.h_layer_size) > 31:
+        raise CapExceededError(f"a sum of squares of up to 2^{2 * h} overflows int64")
+    if signed.dtype != np.int64 or signed.shape != (2, 1 << h):
+        raise SimulationError(f"a {signed.shape} {signed.dtype} array is not 2^{h} signed words")
+    words, signs = signed
+    kept = words & sum([1 << q for q in plan.z_qubits]) == 0
+    merged = words[kept] & ~sum([1 << q for q in plan.x_qubits])
+    order = np.argsort(merged)
+    merged, kept_signs = merged[order], signs[kept][order]
+    # A run of equal words starts where the word changes; words of at most
+    # 62 qubits are >= 0, so the first run starts at the -1 prepended.
+    amps = np.add.reduceat(kept_signs, np.flatnonzero(np.diff(merged, prepend=-1)))
+    return Fraction(int(np.vdot(amps, amps)), 1 << (h + len(plan.x_qubits)))

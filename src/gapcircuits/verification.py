@@ -32,7 +32,6 @@ from .builders import (
     denom_exponent,
     family_lookup,
     hadamard_count,
-    instance_qubits,
     qubit_formula,
     PROBLEM_3SUM,
     PROBLEM_NWT,
@@ -42,10 +41,8 @@ from .builders import (
 from .ir import VOCABULARY, BitString, mcx_toffoli_cost
 from .simulator import (
     BRANCH_CAP_DEFAULT,
-    DENSE_CAP_DEFAULT,
     SimOutcome,
     check_branch_cap,
-    check_dense_cap,
     dense_acceptance,
     simulate_dense,
     simulate_pathsum,
@@ -336,8 +333,7 @@ class VerifyResult:
 
 
 def verify_built(instance: Instance, built: BuiltCircuit, *, with_dense: bool = False,
-                 dense_cap: int = DENSE_CAP_DEFAULT, branch_cap: int = BRANCH_CAP_DEFAULT,
-                 jobs: int = 1) -> VerifyResult:
+                 branch_cap: int = BRANCH_CAP_DEFAULT, jobs: int = 1) -> VerifyResult:
     """Check the acceptance identity of an already-built circuit."""
     counts = oracle_counts(instance)
     outcome = simulate_pathsum(built.circuit, branch_cap=branch_cap, jobs=jobs)
@@ -345,7 +341,8 @@ def verify_built(instance: Instance, built: BuiltCircuit, *, with_dense: bool = 
     dense_value: Fraction | None = None
     dense_ok: bool | None = None
     if with_dense:
-        dense_value = dense_acceptance(built.circuit, simulate_dense(built.circuit, cap=dense_cap))
+        signed = simulate_dense(built.circuit, branch_cap=branch_cap)
+        dense_value = dense_acceptance(built.circuit, signed)
         dense_ok = dense_agrees(dense_value, outcome)
     return VerifyResult(
         problem=built.problem,
@@ -369,20 +366,17 @@ def verify_built(instance: Instance, built: BuiltCircuit, *, with_dense: bool = 
 
 
 def verify_instance(instance: Instance, mode: str = MODE_QRAM, *, with_dense: bool = False,
-                    dense_cap: int = DENSE_CAP_DEFAULT, branch_cap: int = BRANCH_CAP_DEFAULT,
-                    jobs: int = 1) -> VerifyResult:
+                    branch_cap: int = BRANCH_CAP_DEFAULT, jobs: int = 1) -> VerifyResult:
     """Build one mode of the instance's circuit and verify it.
 
-    The branch cap, and with `with_dense` the dense cap, are checked before
-    the build, from the closed-form Hadamard and qubit counts: an nwt weight
-    table alone has 4^r entries.
+    The branch cap, which bounds both backends, is checked before the
+    build, from the closed-form Hadamard count: an nwt weight table alone
+    has 4^r entries.
     """
     check_branch_cap(hadamard_count(instance), branch_cap)
-    if with_dense:
-        check_dense_cap(instance_qubits(instance), dense_cap)
     built = build_circuit(instance, mode)
-    return verify_built(instance, built, with_dense=with_dense, dense_cap=dense_cap,
-                        branch_cap=branch_cap, jobs=jobs)
+    return verify_built(instance, built, with_dense=with_dense, branch_cap=branch_cap,
+                        jobs=jobs)
 
 
 # --- reports -----------------------------------------------------------------

@@ -11,8 +11,9 @@ Criterion map:
    3  nwt identity, n in {2..6}, bound in {1,2,3}
    4  p_acc = 0 exactly iff the oracle gap is 0
    5  dense and path-sum p_acc equal as exact rationals, both modes, on
-      every ov and 3sum cell of at most 22 qubits, 5 instances each (100+),
-      hence within 1e-9, and within 1e-6 once both are scaled by 2^k
+      every ov and nwt cell and the 3sum cells of bound 1..3, 5 instances
+      each (100+), hence within 1e-9, and within 1e-6 once both are scaled
+      by 2^k
    6  qubit-count formulas hold exactly
    7  per-step gate counts within the closed-form bounds; standalone
       arithmetic tallies exact
@@ -36,8 +37,6 @@ from gapcircuits.builders import (
     MODE_QRAM,
     OVInstance,
     build_circuit,
-    derive_index_width,
-    derive_sum_width,
     qubit_formula,
 )
 from gapcircuits.cli import main as cli_main
@@ -132,20 +131,15 @@ def test_criterion_04_gap_dichotomy():
 
 
 def _agreement_cells():
-    """(builder, params) for every cell that fits 22 qubits.
+    """(builder, params) for every ov cell, the small 3sum cells and every nwt cell.
 
-    Each cell runs 5 trials in both modes.  The smallest nwt circuit needs
-    26 qubits, so only ov and 3sum appear here.
+    Each cell runs 5 trials in both modes.
     """
-    cells = []
-    for n, d in OV_GRID:
-        if qubit_formula("ov", derive_index_width(n), d) <= 22:
-            cells.append((generate_ov, (n, d)))
+    cells = [(generate_ov, cell) for cell in OV_GRID]
     for u in (1, 2, 3):
         for n in range(1, min(6, 2 * u + 1) + 1):
-            if qubit_formula("3sum", derive_index_width(n), derive_sum_width(u)) <= 22:
-                cells.append((generate_threesum, (n, u)))
-    return cells
+            cells.append((generate_threesum, (n, u)))
+    return cells + [(generate_nwt, cell) for cell in NWT_GRID]
 
 
 def test_criterion_05_backend_agreement():
@@ -170,7 +164,7 @@ def test_criterion_05_backend_agreement():
                 circuits += 1
     assert instances >= 100
     print(f"criterion 5 (backend agreement): pass -- {instances} instances "
-          f"({circuits} circuits) within 22 qubits, dense == pathsum exactly, "
+          f"({circuits} circuits) of ov, 3sum and nwt, dense == pathsum exactly, "
           f"worst |dense-pathsum| = {float(worst):.2e}, "
           f"worst |dense*2^k - signed_sum^2| = {float(worst_scaled):.2e}")
 

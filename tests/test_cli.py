@@ -141,16 +141,16 @@ def test_simulate_both_bytes_are_pinned(tmp_path, capsys):
     assert report.read_text() == SIMULATE_BOTH_JSON
 
 
-def test_dense_cap_exit(tmp_path, capsys):
+def test_dense_backend_exit_codes(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     main(["gen", "nwt", "-n", "2", "--bound", "1", "--seed", "0", "--out", str(inst)])
-    assert main(["simulate", str(inst), "--backend", "dense"]) == 3  # 26 qubits
-    assert main(["verify", str(inst), "--dense"]) == 3
-    capsys.readouterr()
-    # the flag is honored: a 16-qubit instance fails a deliberately low cap
+    assert main(["simulate", str(inst), "--backend", "both"]) == 0  # 26 qubits
+    assert "agree: pass" in capsys.readouterr().out.splitlines()
+    # the branch cap bounds the dense backend: ov n=3 d=2 has h = 4
     main(["gen", "ov", "-n", "3", "-d", "2", "--seed", "0", "--out", str(inst)])
-    assert main(["simulate", str(inst), "--backend", "dense", "--dense-cap", "15"]) == 3
-    assert main(["simulate", str(inst), "--backend", "dense", "--dense-cap", "16"]) == 0
+    assert main(["simulate", str(inst), "--backend", "dense", "--branch-cap", "3"]) == 3
+    assert "error: 2^4 branches exceed the 2^3 branch cap" in capsys.readouterr().err
+    assert main(["simulate", str(inst), "--backend", "dense", "--branch-cap", "4"]) == 0
 
 
 def test_simulate_malformed_header_integer_exits_2(tmp_path, capsys):
@@ -197,23 +197,26 @@ def test_simulate_refuses_branch_cap_before_building(tmp_path, monkeypatch, caps
     assert err.count("error: 2^33 branches exceed the 2^24 branch cap") == 2
 
 
-def test_simulate_refuses_dense_cap_before_building(tmp_path, monkeypatch, capsys):
-    inst = tmp_path / "inst.json"
-    main(["gen", "nwt", "-n", "2", "--bound", "1", "--seed", "0", "--out", str(inst)])
+def test_simulate_dense_refuses_branch_cap_before_building(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "nwt.json"
+    inst.write_text('{"schema": "gap-instance-v1", "problem": "nwt", "n": 1100, '
+                    '"weight_bound": 1, "edges": []}')
     _refuse_building(monkeypatch)
     assert main(["simulate", str(inst), "--backend", "dense"]) == 3
-    assert main(["simulate", str(inst), "--backend", "both"]) == 3
-    assert main(["simulate", str(inst), "--backend", "dense", "--branch-cap", "1"]) == 3
+    assert main(["simulate", str(inst), "--backend", "dense", "--mode", "explicit"]) == 3
     err = capsys.readouterr().err
-    assert err.count("error: 26 qubits exceed the dense cap of 22") == 3
-    # the pathsum backend has no qubit cap, and the dense one no branch cap
+    assert err.count("error: 2^33 branches exceed the 2^24 branch cap") == 2
+    # the dense backend has no qubit cap of its own to check before building
+    small = tmp_path / "nwt2.json"
+    main(["gen", "nwt", "-n", "2", "--bound", "1", "--seed", "0", "--out", str(small)])
     with pytest.raises(AssertionError, match="built before"):
-        main(["simulate", str(inst), "--dense-cap", "1"])
+        main(["simulate", str(small), "--backend", "dense"])
 
 
-def test_verify_refuses_dense_cap_before_building(tmp_path, monkeypatch, capsys):
-    inst = tmp_path / "inst.json"
-    main(["gen", "nwt", "-n", "2", "--bound", "1", "--seed", "0", "--out", str(inst)])
+def test_verify_dense_refuses_branch_cap_before_building(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "nwt.json"
+    inst.write_text('{"schema": "gap-instance-v1", "problem": "nwt", "n": 1100, '
+                    '"weight_bound": 1, "edges": []}')
 
     def refuse(*args, **kwargs):
         raise AssertionError("built before the caps were checked")
@@ -222,10 +225,7 @@ def test_verify_refuses_dense_cap_before_building(tmp_path, monkeypatch, capsys)
     assert main(["verify", str(inst), "--dense"]) == 3
     assert main(["verify", str(inst), "--dense", "--mode", "both"]) == 3
     err = capsys.readouterr().err
-    assert err.count("error: 26 qubits exceed the dense cap of 22") == 2
-    # without the dense cross-check there is no qubit cap to refuse on
-    with pytest.raises(AssertionError, match="built before"):
-        main(["verify", str(inst)])
+    assert err.count("error: 2^33 branches exceed the 2^24 branch cap") == 2
 
 
 def test_verify_report_and_determinism(tmp_path, capsys):

@@ -1,16 +1,14 @@
-"""Differential test of the dense statevector kernel.
+"""Differential test of the dense backend's signed basis words.
 
 Random circuits of at most 8 qubits run through `simulate_dense` and
-through the per-branch interpreter of `reference_interpreter`: the int8
-count at each basis word must equal the sum of the signs of the Hadamard
-branches that land on it.  `dense_acceptance` must equal the acceptance
-probability marginalized from those counts, and the exact path-sum
-probability whenever the path-sum backend returns one (it refuses circuits
-whose unmeasured qubits end in more than one state over the accepted
-branches).  Every comparison is exact, and the readout stays exact on
-full-scale int8 states too, past the step where its counts widen.  The
-dense backend must not depend on the lowering that the path-sum backend
-uses.
+through the per-branch interpreter of `reference_interpreter`: each
+branch's word and sign must equal the interpreter's.  `dense_acceptance`
+must equal the acceptance probability marginalized from the summed signs,
+and the exact path-sum probability whenever the path-sum backend returns
+one (it refuses circuits whose unmeasured qubits end in more than one
+state over the accepted branches).  Every comparison is exact, and the
+readout stays exact when all 2^h words add into one amplitude.  The dense
+backend must not depend on the lowering that the path-sum backend uses.
 """
 
 from collections import defaultdict
@@ -35,41 +33,37 @@ from gapcircuits.simulator import (
 from reference_interpreter import random_circuit, reference_word
 
 
-def _reference_counts(circuit):
-    """Per basis word, the signs summed over the branches that land on it.
-
-    The amplitude there is this count times 2^(-h/2).
-    """
+def _reference_words(circuit):
+    """Per branch, the interpreter's (word, sign) after the Hadamard layer."""
     h_targets = [g.target for g in circuit.gates[:circuit.h_layer_size]]
-    counts = [0] * (1 << circuit.n_qubits)
-    for branch in range(1 << len(h_targets)):
-        word = sum(((branch >> t) & 1) << q for t, q in enumerate(h_targets))
-        word, sign = reference_word(circuit, word)
-        counts[word] += sign
-    return counts
+    return [reference_word(circuit, sum(((branch >> t) & 1) << q for t, q in enumerate(h_targets)))
+            for branch in range(1 << len(h_targets))]
 
 
-def _reference_acceptance(circuit, counts):
-    """Sum over unmeasured assignments of the squared amplitude onto |0>^z |+>^x."""
+def _reference_acceptance(circuit, branches):
+    """Sum over unmeasured assignments of the squared amplitude onto |0>^z |+>^x.
+
+    The amplitude of a basis word is its summed signs times 2^(-h/2).
+    """
     plan = circuit.measurement
     projected = defaultdict(int)
-    for word, count in enumerate(counts):
+    for word, sign in branches:
         if not any((word >> q) & 1 for q in plan.z_qubits):
-            projected[tuple((word >> q) & 1 for q in plan.unmeasured)] += count
+            projected[tuple((word >> q) & 1 for q in plan.unmeasured)] += sign
     return Fraction(sum(c * c for c in projected.values()),
                     2 ** (circuit.h_layer_size + len(plan.x_qubits)))
 
 
 def _check_against_reference(circuit):
-    state = simulate_dense(circuit)
-    assert state.dtype == np.int8 and state.shape == (1 << circuit.n_qubits,)
-    counts = _reference_counts(circuit)
-    assert np.array_equal(state, counts)
-    before = state.copy()
-    p_acc = dense_acceptance(circuit, state)
-    assert np.array_equal(state, before)  # the caller's state is left as it was
+    signed = simulate_dense(circuit)
+    assert signed.dtype == np.int64 and signed.shape == (2, 1 << circuit.h_layer_size)
+    branches = _reference_words(circuit)
+    assert [tuple(column) for column in signed.T.tolist()] == branches
+    before = signed.copy()
+    p_acc = dense_acceptance(circuit, signed)
+    assert np.array_equal(signed, before)  # the caller's words are left as they were
     assert type(p_acc) is Fraction
-    assert p_acc == _reference_acceptance(circuit, counts)
+    assert p_acc == _reference_acceptance(circuit, branches)
     try:
         exact = simulate_pathsum(circuit).p_acc
     except SimulationError:
@@ -103,17 +97,26 @@ def test_dense_x_load_toffoli_z():
     _check_against_reference(circuit)
 
 
-@pytest.mark.parametrize("count", [127, -128])
-def test_dense_readout_exact_on_full_scale_counts(count):
-    # Nine X-measured qubits take every count through nine doublings, one
-    # past what int16 holds: the readout must widen before the ninth.
-    circuit = new_circuit([("q", 11)])
+@pytest.mark.parametrize("phase", [False, True])
+def test_dense_readout_adds_every_word_into_one_amplitude(phase):
+    # Every Hadamard target is X-measured, so all 2^12 words coincide once
+    # their X bits are cleared: one amplitude of the largest magnitude, 2^h,
+    # or 0 when a phase flip negates half of the words.
+    circuit = new_circuit([("q", 14)])
     circuit.begin_step("body")
-    circuit.set_measurement((0,), tuple(range(1, 10)), (10,))
-    state = np.full(1 << 11, count, dtype=np.int8)
-    expected = _reference_acceptance(circuit, [count] * (1 << 11))
-    assert expected == Fraction(2 * (count * 2 ** 9) ** 2, 2 ** 9)
-    assert dense_acceptance(circuit, state) == expected
+    for q in range(12):
+        circuit.add(H(q))
+    circuit.add(X(13))
+    if phase:
+        circuit.add(Z(0))
+    circuit.set_measurement((12,), tuple(range(12)), (13,))
+    signed = simulate_dense(circuit)
+    assert np.unique(signed[0] & ~0xFFF).tolist() == [1 << 13]
+    expected = 0 if phase else 1
+    assert dense_acceptance(circuit, signed) == expected
+    assert _reference_acceptance(circuit, _reference_words(circuit)) == expected
+    signed[1] *= -1
+    assert dense_acceptance(circuit, signed) == expected
 
 
 def test_dense_zero_mask_and_missing_addresses():

@@ -49,22 +49,20 @@ def test_pathsum_micro_minus_state():
     assert dense_acceptance(circ, simulate_dense(circ)) == 0
 
 
-def _unscaled_norm(state):
-    """sum(state^2) of int8 counts: 2^h times the squared norm of the amplitudes."""
-    return int(np.square(state, dtype=np.int64).sum())
-
-
 def test_dense_micro_bell():
     circ = _bell_like()
-    state = simulate_dense(circ)
-    assert _unscaled_norm(state) == 2 ** circ.h_layer_size
-    assert dense_acceptance(circ, state) == Fraction(1, 4)
+    signed = simulate_dense(circ)
+    assert signed.tolist() == [[0b00, 0b11], [1, 1]]
+    assert dense_acceptance(circ, signed) == Fraction(1, 4)
 
 
 def test_dense_norm_preserved_on_built_circuit():
+    # Every body gate permutes basis words, so the 2^h words stay distinct
+    # and each keeps a sign of +-1: the state's norm is unchanged.
     built = build_circuit(generate_ov(3, 2, seed=1), MODE_EXPLICIT)
-    state = simulate_dense(built.circuit)
-    assert _unscaled_norm(state) == 2 ** built.circuit.h_layer_size
+    words, signs = simulate_dense(built.circuit)
+    assert len(np.unique(words)) == len(words) == 2 ** built.circuit.h_layer_size
+    assert set(signs.tolist()) <= {-1, 1}
 
 
 @pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
@@ -117,10 +115,14 @@ def test_branch_cap():
         simulate_pathsum(built.circuit, branch_cap=5)
 
 
-def test_dense_cap():
-    built = build_circuit(generate_ov(8, 4, seed=0), MODE_QRAM)  # 25 qubits
-    with pytest.raises(CapExceededError):
-        simulate_dense(built.circuit, cap=22)
+def test_dense_branch_and_word_caps():
+    built = build_circuit(generate_ov(8, 4, seed=0), MODE_QRAM)  # 25 qubits, h = 6
+    assert simulate_dense(built.circuit).shape == (2, 64)
+    with pytest.raises(CapExceededError, match="2\\^6 branches exceed the 2\\^5 branch cap"):
+        simulate_dense(built.circuit, branch_cap=5)
+    with pytest.raises(CapExceededError, match="63 qubits exceed the 62-qubit word cap"):
+        simulate_dense(_wide_cx(63, True))
+    assert simulate_dense(_wide_cx(62, True)).tolist() == [[0, 1 | 1 << 61], [1, 1]]
 
 
 def test_dense_acceptance_marginal_cap():
@@ -137,25 +139,31 @@ def test_dense_acceptance_marginal_cap():
 
 
 def test_dense_acceptance_rejects_mis_sized_state():
-    circ = _bell_like()
-    # wrong sizes, and float amplitudes in place of int8 counts
-    for state in (np.zeros(2, dtype=np.int8), np.zeros(8, dtype=np.int8), np.zeros(4)):
+    circ = _bell_like()  # h = 1: two words
+    # wrong word counts, words without signs, and float or int32 words
+    for signed in (np.zeros((2, 1), dtype=np.int64), np.zeros((2, 4), dtype=np.int64),
+                   np.zeros((1, 2), dtype=np.int64), np.zeros((2, 2)),
+                   np.zeros((2, 2), dtype=np.int32), np.zeros(4, dtype=np.int64)):
         with pytest.raises(SimulationError) as raised:
-            dense_acceptance(circ, state)
+            dense_acceptance(circ, signed)
         assert not isinstance(raised.value, CapExceededError)
 
 
 def test_dense_acceptance_overflow_boundary():
-    # sum(kept^2) <= 2^(n - #z + #x): 2^62 fits int64, 2^63 is refused.  Both
-    # plans are checked before the state, so a one-count state is enough.
-    circ = new_circuit([("q", 32)])
-    circ.set_measurement((0,), tuple(range(1, 32)))
+    # The |amplitudes| add up to at most 2^h, so sum(amp^2) <= 2^(2h): 2^62
+    # fits int64 at h = 31, and h = 32 is refused.  The cap is checked
+    # before the words, so a mis-sized array is enough.
+    circ = new_circuit([("q", 33)])
+    circ.begin_step("1")
+    for q in range(31):
+        circ.add(H(q))
+    circ.set_measurement((32,), tuple(range(32)))
     with pytest.raises(SimulationError) as raised:
-        dense_acceptance(circ, np.zeros(1, dtype=np.int8))
+        dense_acceptance(circ, np.zeros((2, 1), dtype=np.int64))
     assert not isinstance(raised.value, CapExceededError)
-    circ.set_measurement((), tuple(range(31)), (31,))
-    with pytest.raises(CapExceededError, match="2\\^63"):
-        dense_acceptance(circ, np.zeros(1, dtype=np.int8))
+    circ.add(H(31))
+    with pytest.raises(CapExceededError, match="2\\^64"):
+        dense_acceptance(circ, np.zeros((2, 1), dtype=np.int64))
 
 
 def test_missing_measurement_plan():
