@@ -249,12 +249,6 @@ def hadamard_count(instance: Instance) -> int:
     return instance.INDEX_REGISTERS * instance.r
 
 
-def instance_qubits(instance: Instance) -> int:
-    """qubit_formula for the instance's circuit in either mode, without building it."""
-    family_lookup(_BUILDERS, instance)
-    return qubit_formula(instance.PROBLEM, instance.r, instance.d)
-
-
 def _begin(instance: Instance, mode: str, index_names: tuple[str, ...],
            data_layout: list[tuple[str, int]]):
     """Steps 1-2 of every family, and a `load(table, address, data)` that

@@ -11,20 +11,20 @@ exact rational.
 The path-sum kernel is bit-sliced.  Qubit q is one Python int column whose
 bit i holds qubit q of branch i, and one more column marks the branches
 whose sign is -1.  X, CX, Toffoli and bitmask flips become XOR and AND of
-whole columns, a phase flip XORs a column into the sign column, and a table
-lookup gathers from the table by the unpacked address bits.  An explicit
-loader's X-framed bitmask flips lower to one run: its X gates fold into a
-pending frame, and the kernel walks the run's sorted address patterns,
-computing each AND prefix they share once, as in unary iteration (Babbush
-et al., PRX 8, 041015, 2018).  The accepted count and signed sum are
-popcounts of the accepted-branch column, so they stay exact.
+whole columns, and a phase flip XORs a column into the sign column.  A
+table lookup and an explicit loader's X-framed bitmask flips lower to the
+same op, one run: the loader's X gates fold into a pending frame, and the
+kernel walks the run's sorted address patterns, computing each AND prefix
+they share once, as in unary iteration (Babbush et al., PRX 8, 041015,
+2018).  The accepted count and signed sum are popcounts of the
+accepted-branch column, so they stay exact.
 
 Above 2^16 branches (h > 16, the `_FLAT_MAX_H` rule), each column keeps its
 support: the branch variables, that is Hadamard bits, it may depend on.  A
 column over k variables is an int of 2^k bits, bit i holding the value at
 the assignment i of those variables, lowest first.  Supports are fixed in
-the lowering: a flip's targets gain its controls' supports, a load's or
-run's data its address's, and a phase flip adds to the sign column's.
+the lowering: a flip's targets gain its controls' supports, a run's data
+its address's, and a phase flip adds to the sign column's.
 Where supports meet, the lowering inserts a "widen" op, which broadcasts a
 column over new variables by repeating whole blocks of its packed bits; a
 flip that undoes an earlier one copies saved columns back, so a register
@@ -104,14 +104,13 @@ class SimOutcome:
     p_acc: Fraction
 
 
-def _body_kinds(gates: list) -> set[type]:
+def _check_body(gates: list) -> None:
     kinds = set(map(type, gates))
     if not VOCABULARY.issuperset(kinds):
         gate = next(g for g in gates if type(g) not in VOCABULARY)
         raise SimulationError(f"gate {type(gate).__name__} is outside the simulator vocabulary")
     if H in kinds:
         raise SimulationError("H is not a basis-state permutation")
-    return kinds
 
 
 def _check_word_cap(circuit: Circuit) -> None:
@@ -121,43 +120,23 @@ def _check_word_cap(circuit: Circuit) -> None:
 
 
 def _compile_ops(circuit: Circuit, *, start: int) -> list[tuple]:
-    """Lower gates[start:] to the column kernel's ops, which are the gates' actions.
+    """Lower gates[start:] to the column kernel's ops with `_lower_runs`.
 
-    When two consecutive bitmask flips share controls and targets, as in an
-    explicit loader, the body is lowered by `_lower_runs` instead, which
-    folds X gates and groups such flips into runs.  A table load becomes
-    ("qram", address, data, bits): one 0/1 row of `bits`, indexed by
-    address, per data qubit that some entry sets.  With `start` Hadamards
-    of the support regime, the ops are then rewritten by `_track_supports`.
+    With `start` Hadamards of the support regime, the ops are then
+    rewritten by `_track_supports`.
     """
-    kinds = _body_kinds(gates := circuit.gates[start:])
-    previous = None
-    for gate in gates:
-        if type(gate) is MCBitmask:
-            if (gate.controls, gate.targets) == previous:
-                ops = lowered = _lower_runs(gates)
-                break
-            previous = gate.controls, gate.targets
-    else:
-        ops = lowered = [gate.action() for gate in gates]
-    if QramLoad in kinds:
-        lowered = []
-        for op in ops:
-            if op[0] == "qram":
-                _, address, data, table_id = op
-                entries = np.array(circuit.tables[table_id].entries, dtype=np.int64).reshape(-1, 2)
-                bits = np.zeros((len(data), 1 << len(address)), dtype=np.uint8)
-                bits[:, entries[:, 0]] = entries[:, 1] >> np.arange(len(data))[:, None] & 1
-                kept = np.flatnonzero(bits.any(axis=1))
-                if not len(kept):
-                    continue
-                op = ("qram", address, [data[j] for j in kept], bits[kept])
-            lowered.append(op)
-    return lowered if start <= _FLAT_MAX_H else _track_supports(lowered, circuit, start)
+    _check_body(gates := circuit.gates[start:])
+    ops = _lower_runs(gates, circuit.tables)
+    return ops if start <= _FLAT_MAX_H else _track_supports(ops, circuit, start)
 
 
-def _lower_runs(gates: list) -> list[tuple]:
-    """Gate actions, with X gates folded into a frame and bitmask flips into runs.
+def _targets_of(targets: tuple[int, ...], masks) -> dict[int, tuple[int, ...]]:
+    """{mask: the targets of its set bits}, one tuple per distinct mask."""
+    return {m: tuple([t for j, t in enumerate(targets) if m >> j & 1]) for m in set(masks)}
+
+
+def _lower_runs(gates: list, tables: dict) -> list[tuple]:
+    """Gate actions, with X gates folded into a frame and loaders into runs.
 
     An X toggles its qubit's bit of the pending frame; before any other
     gate each pending bit is emitted as one single-qubit flip.  Bitmask
@@ -166,6 +145,9 @@ def _lower_runs(gates: list) -> list[tuple]:
     bit j set where the flip fires on controls[j] = 1 in the columns as
     they stand, the frame not applied.  Flips of one pattern merge by XOR
     of their masks; a run left with one pattern is emitted as a framed flip.
+    A table load becomes the run its explicit loader would: the table's
+    nonzero rows in address order, each with the data qubits of its set
+    bits, and no op for an all-zero table.
     """
     ops, pending, controls, targets = [], 0, None, None
     append = ops.append
@@ -174,8 +156,7 @@ def _lower_runs(gates: list) -> list[tuple]:
         live = sorted([item for item in entries.items() if item[1]])
         if len(live) != 1:
             if live:
-                names = {m: tuple([t for j, t in enumerate(targets) if m >> j & 1])
-                         for m in set(entries.values())}
+                names = _targets_of(targets, entries.values())
                 append(("run", controls, tuple([(p, names[m]) for p, m in live])))
             return pending
         (pattern, mask), = live
@@ -208,7 +189,11 @@ def _lower_runs(gates: list) -> list[tuple]:
             while pending:
                 append(("flip", (), ((pending & -pending).bit_length() - 1,)))
                 pending &= pending - 1
-            append(gate.action())
+            if kind is not QramLoad:
+                append(gate.action())
+            elif rows := [row for row in tables[gate.table_id].entries if row[1]]:
+                names = _targets_of(gate.data, [value for _, value in rows])
+                append(("run", gate.address, tuple([(a, names[v]) for a, v in rows])))
     if controls:
         pending = close(pending)
     while pending:
@@ -273,7 +258,7 @@ def _track_supports(ops: list[tuple], circuit: Circuit, h: int) -> list[tuple]:
 
     Variable t is bit t of the branch index, the Hadamard on gates[t]'s
     target; those from _SUPPORT_FREE_VARS up are fixed per chunk.  Every
-    operand of a flip, load or run is widened to the union of the op's
+    operand of a flip or run is widened to the union of the op's
     supports: targets in place, and a flip's controls in place below full
     support.  Other controls go into temporaries, so no full-width copy
     outlives its op and an address register keeps its own support.  A run's
@@ -339,9 +324,7 @@ def _track_supports(ops: list[tuple], circuit: Circuit, h: int) -> list[tuple]:
                                   for j, q in enumerate(controls)])
                 op = (kind, controls, targets)
                 break
-        if kind == "qram":
-            lowered.append(("qram", controls, targets, ops[i][3], 1 << w.bit_count()))
-        elif kind == "run":
+        if kind == "run":
             lowered.append(("run", controls, ops[i][2], 1 << w.bit_count()))
         elif controls:
             lowered.append(op)
@@ -417,33 +400,20 @@ def _widen(column: int, steps: tuple[tuple[int, int, int], ...]) -> int:
     return column
 
 
-def _pack(bits: np.ndarray) -> list[int]:
-    """Each row of a 0/1 uint8 matrix as an int column: element i at bit i."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _unpack(columns: list[int], count: int) -> np.ndarray:
-    """Inverse of _pack: one uint8 row of `count` elements per column."""
-    width = (count + 7) // 8
-    raw = b"".join(column.to_bytes(width, "little") for column in columns)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(columns), width)
-    return np.unpackbits(rows, axis=1, count=count, bitorder="little")
-
-
 def _apply_columns(ops: list[tuple], cols: list[int], full: int | None) -> int:
     """Run lowered ops over one chunk of branches; return its sign column.
 
     `cols[q]` holds qubit q of every branch in the chunk, branch i at bit i,
     and is updated in place; `full` has one bit set per branch.  A set bit
     of the returned sign column marks a branch whose phase ended at -1.
-    A run (see `_lower_runs`) walks its sorted patterns; entries that share
-    their top pattern bits share that AND prefix, and a 0 bit reads the
-    complement `ones ^ column`, taken once per control (`~column` would
+    A run (see `_lower_runs`), which is how every table load and explicit
+    loader reaches the kernel, walks its sorted patterns; entries that
+    share their top pattern bits share that AND prefix, and a 0 bit reads
+    the complement `ones ^ column`, taken once per control (`~column` would
     cost far more).  Support-regime ops (see `_track_supports`) never read
-    `full` or the returned sign: their flips all have controls, their loads
-    and runs carry their column width, and their phase flips XOR into a
-    sign slot of `cols`.
+    `full` or the returned sign: their flips all have controls, their runs
+    carry their column width, and their phase flips XOR into a sign slot of
+    `cols`.
     """
     sign = 0
     for op in ops:
@@ -463,7 +433,7 @@ def _apply_columns(ops: list[tuple], cols: list[int], full: int | None) -> int:
             sign ^= cols[op[1]]
         elif kind == "widen":
             cols[op[2]] = _widen(cols[op[1]], op[3])
-        elif kind == "run":
+        else:
             controls, entries = op[1], op[2]
             ones = (1 << op[3]) - 1 if len(op) > 3 else full
             literals = [(ones ^ cols[c], cols[c]) for c in controls]
@@ -478,15 +448,6 @@ def _apply_columns(ops: list[tuple], cols: list[int], full: int | None) -> int:
                 last = pattern
                 for t in targets:
                     cols[t] ^= fire
-        else:
-            address, data, tables = op[1:4]
-            bits = _unpack([cols[q] for q in address], op[4] if len(op) > 4 else full.bit_length())
-            index = np.zeros(bits.shape[1], dtype=np.intp)
-            for row in bits[::-1]:
-                index <<= 1
-                index |= row
-            for q, loaded in zip(data, _pack(np.take(tables, index, axis=1))):
-                cols[q] ^= loaded
     return sign
 
 
@@ -534,7 +495,7 @@ def apply_gates(circuit: Circuit, words: np.ndarray,
     Returns the same arrays for convenience.
     """
     _check_word_cap(circuit)
-    _body_kinds(circuit.gates)
+    _check_body(circuit.gates)
     if signs is None:
         signs = np.ones(len(words), dtype=np.int64)
     signs[_apply_words(circuit, circuit.gates, words)] *= -1
@@ -651,7 +612,7 @@ def simulate_dense(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT) ->
     h_targets = _h_prefix(circuit)
     check_branch_cap(len(h_targets), branch_cap)
     _check_word_cap(circuit)
-    _body_kinds(body := circuit.gates[len(h_targets):])
+    _check_body(body := circuit.gates[len(h_targets):])
     signed = np.zeros((2, 1 << len(h_targets)), dtype=np.int64)
     words = signed[0]
     branches = np.arange(1 << len(h_targets), dtype=np.int64)

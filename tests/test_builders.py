@@ -19,7 +19,6 @@ from gapcircuits.builders import (
     derive_weight_width,
     hadamard_count,
     hardness_time,
-    instance_qubits,
     qubit_formula,
     sentinel_value,
 )
@@ -108,13 +107,13 @@ def test_nwt_qubits_and_exponent(n, bound):
 ])
 def test_instance_qubits_counts_without_building(instance, mode):
     built = build_circuit(instance, mode)
-    assert instance_qubits(instance) == built.circuit.n_qubits
+    assert qubit_formula(instance.PROBLEM, instance.r, instance.d) == built.circuit.n_qubits
     assert hadamard_count(instance) == built.circuit.h_layer_size
     assert (instance.r, instance.d) == (built.r, built.d)
     assert (instance.PROBLEM, instance.bound) == (built.problem, built.bound)
 
 
-@pytest.mark.parametrize("lookup", [build_circuit, oracle_counts, hadamard_count, instance_qubits])
+@pytest.mark.parametrize("lookup", [build_circuit, oracle_counts, hadamard_count])
 def test_lookups_refuse_foreign_objects(lookup):
     with pytest.raises(InstanceError, match="unknown instance type"):
         lookup("ov")  # a problem name is not an instance

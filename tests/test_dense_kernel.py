@@ -6,8 +6,9 @@ branch's word and sign must equal the interpreter's.  `dense_acceptance`
 must equal the acceptance probability marginalized from the summed signs,
 and the exact path-sum probability whenever the path-sum backend returns
 one (it refuses circuits whose unmeasured qubits end in more than one
-state over the accepted branches).  Every comparison is exact, and the
-readout stays exact when all 2^h words add into one amplitude.  The dense
+state over the accepted branches).  Every comparison is exact, the
+readout stays exact when all 2^h words add into one amplitude, and it keeps
+apart groups of words whose members interleave in branch order.  The dense
 backend must not depend on the lowering that the path-sum backend uses.
 """
 
@@ -117,6 +118,25 @@ def test_dense_readout_adds_every_word_into_one_amplitude(phase):
     assert _reference_acceptance(circuit, _reference_words(circuit)) == expected
     signed[1] *= -1
     assert dense_acceptance(circuit, signed) == expected
+
+
+@pytest.mark.parametrize("phase, expected", [(True, 0), (False, Fraction(1, 2))],
+                         ids=["Z", "no-Z"])
+def test_dense_readout_adds_interleaved_groups_apart(phase, expected):
+    # CX(0, 2) copies branch bit 0 into the unmeasured qubit 2, so once the
+    # X bits 0 and 1 are cleared the words read 0, 4, 0, 4 in branch order:
+    # two groups whose members interleave, each adding both values of
+    # qubit 1.  Z(1) cancels each group to 0; without it each adds to 2, and
+    # p = (2^2 + 2^2) / 2^4.  Summing only adjacent equal words would read
+    # 1/4 in both cases, and adding all four words as one group 0 and 1.
+    circuit = new_circuit([("q", 4)])
+    circuit.begin_step("body")
+    circuit.extend([H(0), H(1), CX(0, 2), *([Z(1)] if phase else [])])
+    circuit.set_measurement((), (0, 1), (2, 3))
+    signed = simulate_dense(circuit)
+    assert (signed[0] & ~0b11).tolist() == [0, 4, 0, 4]
+    assert dense_acceptance(circuit, signed) == expected
+    assert _reference_acceptance(circuit, _reference_words(circuit)) == expected
 
 
 def test_dense_zero_mask_and_missing_addresses():

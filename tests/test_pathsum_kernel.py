@@ -214,34 +214,30 @@ def test_support_regime_matches_flat_on_built_circuit(mode, monkeypatch):
 @pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
 def test_flat_regime_keeps_the_flat_ops(mode):
     # h = 16 fills one default chunk: no op is a widen, and each op outside
-    # a run is its gate's action, or the load's ("qram", address, data,
-    # bits).  The qram body keeps one op per gate.  Each explicit loader is
-    # one run with an entry per nonzero value, whose pattern is its address
-    # XOR the X frame still pending on the address register (the step-2
-    # comparator's closing X gates on j are).  h = 18 is above it.
+    # a run is its gate's action.  Each loader, a table load or an explicit
+    # one, is one run with an entry per nonzero value in address order.  A
+    # load reads the address register as it stands; an explicit loader's
+    # pattern is its address XOR the X frame still pending on the address
+    # register (the step-2 comparator's closing X gates on j are).  A loader
+    # of all-zero values emits no op.  h = 18 is above it.
     instance = _ov_instance(256, 2, seed=1)
     flat = build_circuit(instance, mode).circuit
     wide = build_circuit(_ov_instance(512, 2, seed=1), mode).circuit
     ops = simulator._compile_ops(flat, start=16)
-    body = flat.gates[16:]
-    if mode == MODE_QRAM:
-        assert len(ops) == len(body)
-        for op, gate in zip(ops, body):
-            if op[0] == "qram":
-                assert op[:2] == gate.action()[:2] and len(op) == 4
-            else:
-                assert op == gate.action()
-    else:
-        actions = {gate.action() for gate in body}
-        assert all(op in actions for op in ops if op[0] != "run")
-        regs = flat.registers
-        runs = [op[1:] for op in ops if op[0] == "run"]
-        assert [controls for controls, _ in runs] == [regs["i"].qubits, regs["j"].qubits]
-        for (_, entries), data, vectors, frame in zip(runs, ("ui", "vj"), (instance.u, instance.v),
-                                                      (0, 255)):
-            assert entries == tuple(sorted(
-                (a ^ frame, tuple(q for j, q in enumerate(regs[data]) if v.to_int() >> j & 1))
-                for a, v in enumerate(vectors) if v.to_int()))
+    actions = {gate.action() for gate in flat.gates[16:]}
+    assert all(op in actions for op in ops if op[0] != "run")
+    regs = flat.registers
+    runs = [op[1:] for op in ops if op[0] == "run"]
+    assert [controls for controls, _ in runs] == [regs["i"].qubits, regs["j"].qubits]
+    frames = (0, 0) if mode == MODE_QRAM else (0, 255)
+    for (_, entries), data, vectors, frame in zip(runs, ("ui", "vj"), (instance.u, instance.v),
+                                                  frames):
+        assert entries == tuple(sorted(
+            (a ^ frame, tuple(q for j, q in enumerate(regs[data]) if v.to_int() >> j & 1))
+            for a, v in enumerate(vectors) if v.to_int()))
+    zeros = OVInstance(u=instance.u, v=tuple(BitString((0, 0)) for _ in instance.v))
+    ops = simulator._compile_ops(build_circuit(zeros, mode).circuit, start=16)
+    assert [op[1] for op in ops if op[0] == "run"] == [regs["i"].qubits]
     assert any(op[0] == "widen" for op in simulator._compile_ops(wide, start=18))
 
 
