@@ -120,7 +120,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report: dict = {"problem": built.problem, "mode": built.mode,
                     "qubits": built.circuit.n_qubits, "exponent": built.denom_exponent}
     if args.backend in ("pathsum", "both"):
-        outcome = simulate_pathsum(built.circuit, branch_cap=args.branch_cap, jobs=args.jobs)
+        outcome = simulate_pathsum(built.circuit, branch_cap=args.branch_cap)
         report["pathsum"] = {"signed_sum": outcome.signed_sum,
                              "branches": outcome.n_branches,
                              "accepted": outcome.n_accepted,
@@ -143,8 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     modes = [MODE_QRAM, MODE_EXPLICIT] if args.mode == "both" else [args.mode]
     results = [
-        verify_instance(instance, mode, with_dense=args.dense, branch_cap=args.branch_cap,
-                        jobs=args.jobs)
+        verify_instance(instance, mode, with_dense=args.dense, branch_cap=args.branch_cap)
         for mode in modes
     ]
     print(f"generated: {_timestamp()}")
@@ -249,7 +248,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--branch-cap", type=int, default=BRANCH_CAP_DEFAULT,
                         help="log2 cap on enumerated branches")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads or processes")
 
 
 def build_parser() -> argparse.ArgumentParser:

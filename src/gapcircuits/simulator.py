@@ -72,10 +72,10 @@ from .ir import VOCABULARY, Circuit, H, MCBitmask, QramLoad, X
 BRANCH_CAP_DEFAULT = 24
 # `apply_gates` and `simulate_dense` hold each basis word in an int64, so
 # they refuse wider circuits.  The column kernel has no qubit limit, but
-# `simulate_pathsum` keeps the same cap because the benchmark's self-test
-# (perfbench/test_bench.py::test_raised_error_counts_as_failed) relies on
-# 3sum n=64 U=1000, 65 qubits, being refused; lifting it there means moving
-# that test to another cap in the same change.
+# `simulate_pathsum` keeps the cap: the benchmark's self-test
+# (perfbench/test_bench.py::test_raised_error_counts_as_failed) needs
+# 3sum n=64 U=1000, 65 qubits, refused, and its threaded probe (in
+# perfbench/run.py) passes `jobs`.
 _WORD_QUBIT_CAP = 62
 # Circuits of up to 2^16 branches keep the flat lowering and run as one
 # chunk, which is cheaper there; above it columns track their supports.
@@ -540,7 +540,9 @@ def simulate_pathsum(circuit: Circuit, *, branch_cap: int = BRANCH_CAP_DEFAULT,
     a chunk fixes the variables from _SUPPORT_FREE_VARS up, and the chunks'
     partial sums combine by integer addition, so `jobs` threads never change
     the result.  Raises SimulationError unless every unmeasured qubit holds
-    one value over all accepted branches.
+    one value over all accepted branches.  Every program entry point runs
+    the chunks in one thread; `jobs`, its thread pool and the word cap
+    remain only for the benchmark's threaded probe and self-test.
     """
     plan = circuit.measurement
     if plan is None:

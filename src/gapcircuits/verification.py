@@ -333,10 +333,10 @@ class VerifyResult:
 
 
 def verify_built(instance: Instance, built: BuiltCircuit, *, with_dense: bool = False,
-                 branch_cap: int = BRANCH_CAP_DEFAULT, jobs: int = 1) -> VerifyResult:
+                 branch_cap: int = BRANCH_CAP_DEFAULT) -> VerifyResult:
     """Check the acceptance identity of an already-built circuit."""
     counts = oracle_counts(instance)
-    outcome = simulate_pathsum(built.circuit, branch_cap=branch_cap, jobs=jobs)
+    outcome = simulate_pathsum(built.circuit, branch_cap=branch_cap)
     predicted = predicted_pacc(built.problem, built.r, built.d, counts.gap)
     dense_value: Fraction | None = None
     dense_ok: bool | None = None
@@ -366,7 +366,7 @@ def verify_built(instance: Instance, built: BuiltCircuit, *, with_dense: bool = 
 
 
 def verify_instance(instance: Instance, mode: str = MODE_QRAM, *, with_dense: bool = False,
-                    branch_cap: int = BRANCH_CAP_DEFAULT, jobs: int = 1) -> VerifyResult:
+                    branch_cap: int = BRANCH_CAP_DEFAULT) -> VerifyResult:
     """Build one mode of the instance's circuit and verify it.
 
     The branch cap, which bounds both backends, is checked before the
@@ -375,8 +375,7 @@ def verify_instance(instance: Instance, mode: str = MODE_QRAM, *, with_dense: bo
     """
     check_branch_cap(hadamard_count(instance), branch_cap)
     built = build_circuit(instance, mode)
-    return verify_built(instance, built, with_dense=with_dense, branch_cap=branch_cap,
-                        jobs=jobs)
+    return verify_built(instance, built, with_dense=with_dense, branch_cap=branch_cap)
 
 
 # --- reports -----------------------------------------------------------------

@@ -252,6 +252,19 @@ def test_verify_single_mode(tmp_path, capsys):
     assert capsys.readouterr().out.count("overall: pass") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_jobs_is_unknown_outside_sweep(command, tmp_path, capsys):
+    # The path sum runs in one thread; only sweep keeps --jobs, for processes.
+    inst = tmp_path / "inst.json"
+    main(["gen", "ov", "-n", "2", "-d", "1", "--seed", "8", "--out", str(inst)])
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(inst), "--jobs", "2"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --jobs 2" in captured.err
+
+
 def test_sweep_clean_run(tmp_path, capsys):
     out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
     assert main(["sweep", "--problem", "ov", "--trials", "2", "--out", str(out1)]) == 0

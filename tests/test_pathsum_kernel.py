@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from gapcircuits import simulator
 from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, OVInstance, build_circuit
+from gapcircuits.dataload import DataTable, emit_loader_unitary, emit_qram_load
 from gapcircuits.ir import CX, BitString, H, MCBitmask, X, Z, new_circuit
 from gapcircuits.simulator import SimulationError, apply_gates, simulate_pathsum
 from reference_interpreter import random_circuit, reference_word
@@ -166,6 +167,90 @@ def test_flip_after_a_run_is_not_its_undo(monkeypatch):
     monkeypatch.setattr(simulator, "_FLAT_MAX_H", 0)
     out = simulate_pathsum(circuit)
     assert (out.signed_sum, out.n_accepted) == _reference_pathsum(circuit)[:2] == (1, 1)
+
+
+# Fixed examples, one per way the run lowering or kernel can go wrong, so a
+# fault there fails a test without Hypothesis: each checks both regimes
+# against the per-branch reference and against counts worked out by hand.
+
+def _loader_circuit(n_address):
+    """Hadamards on the address qubits 0..n_address-1, which are X-measured;
+    the next two qubits are Z-measured data and the last is an ancilla."""
+    circuit = new_circuit([("a", n_address), ("d", 2), ("anc", 1)])
+    circuit.begin_step("1")
+    circuit.extend([H(q) for q in range(n_address)])
+    circuit.set_measurement((n_address, n_address + 1), tuple(range(n_address)),
+                            (n_address + 2,))
+    return circuit
+
+
+def _check_regime(circuit, flat_max_h, monkeypatch, expected):
+    monkeypatch.setattr(simulator, "_FLAT_MAX_H", flat_max_h)
+    out = simulate_pathsum(circuit)
+    assert (out.signed_sum, out.n_accepted) == _reference_pathsum(circuit)[:2] == expected
+
+
+@pytest.mark.parametrize("flat_max_h", [16, 0])
+def test_loader_with_a_repeated_address_cancels_it(flat_max_h, monkeypatch):
+    # Two loaders back to back on the same wires both store 3 at address 1,
+    # so one run holds pattern 1 twice and its masks cancel: the data reads
+    # 1, 0, 2, 0 at addresses 0..3, and Z(0) negates addresses 1 and 3.
+    circuit = _loader_circuit(2)
+    emit_loader_unitary(circuit, DataTable("u", 2, 2, ((0, 1), (1, 3))), (0, 1), (2, 3), 4)
+    emit_loader_unitary(circuit, DataTable("v", 2, 2, ((1, 3), (2, 2))), (0, 1), (2, 3), 4)
+    circuit.add(Z(0))
+    assert [op[0] for op in simulator._compile_ops(circuit, start=2)] == ["run", "z"]
+    _check_regime(circuit, flat_max_h, monkeypatch, (-2, 2))
+
+
+@pytest.mark.parametrize("flat_max_h", [16, 0])
+def test_body_ending_on_a_pending_frame_emits_it(flat_max_h, monkeypatch):
+    # Framed flips at addresses 0 and 2 of (0, 1), with only X(1) undone:
+    # X(0) is still pending when the body ends, so address qubit 0, here
+    # Z-measured, reads 1 - b0.  Accepted: b0 = 1 with data 0, that is
+    # addresses 1 and 3; Z(1) before the frame negates address 3.
+    flips = [MCBitmask((0, 1), 1, (2, 3), 4), MCBitmask((0, 1), 2, (2, 3), 4)]
+    circuit = _loader_circuit(2)
+    circuit.extend([Z(1), X(0), X(1), flips[0], X(1), flips[1]])
+    circuit.set_measurement((0, 2, 3), (1,), (4,))
+    assert simulator._compile_ops(circuit, start=2)[-1] == ("flip", (), (0,))
+    _check_regime(circuit, flat_max_h, monkeypatch, (0, 2))
+
+
+def _emit_table(circuit, emit, entries):
+    """One loader of `entries` from all address qubits into the data qubits."""
+    n = circuit.registers["a"].width
+    table = DataTable("t", n, 2, entries)
+    if emit is emit_qram_load:
+        emit_qram_load(circuit, table, range(n), (n, n + 1))
+    else:
+        emit_loader_unitary(circuit, table, range(n), (n, n + 1), n + 2)
+
+
+@pytest.mark.parametrize("flat_max_h", [16, 0])
+@pytest.mark.parametrize("emit", [emit_qram_load, emit_loader_unitary])
+def test_run_entry_reads_a_zero_address_bit(emit, flat_max_h, monkeypatch):
+    # Addresses 1 and 2 each have a 0 bit and store 1; read as 1, that bit
+    # would make both fire on address 3 instead.  Accepted: addresses 0 and
+    # 3, and Z(1) negates address 3.
+    circuit = _loader_circuit(2)
+    _emit_table(circuit, emit, ((1, 1), (2, 1)))
+    circuit.add(Z(1))
+    assert [op[0] for op in simulator._compile_ops(circuit, start=2)] == ["run", "z"]
+    _check_regime(circuit, flat_max_h, monkeypatch, (0, 2))
+
+
+@pytest.mark.parametrize("flat_max_h", [16, 0])
+@pytest.mark.parametrize("emit", [emit_qram_load, emit_loader_unitary])
+def test_run_patterns_share_only_their_common_prefix(emit, flat_max_h, monkeypatch):
+    # Patterns 4, 5 and 7 of (0, 1, 2): 4 and 5 share their top two bits, 5
+    # and 7 only the top one.  The data reads 1 at address 4, 2 at 5 and 3
+    # at 7, so addresses 0-3 and 6 are accepted; Z(0) negates 1 and 3.
+    circuit = _loader_circuit(3)
+    _emit_table(circuit, emit, ((4, 1), (5, 2), (7, 3)))
+    circuit.add(Z(0))
+    assert [op[0] for op in simulator._compile_ops(circuit, start=3)] == ["run", "z"]
+    _check_regime(circuit, flat_max_h, monkeypatch, (1, 5))
 
 
 def _literal_widen(column, have, want):
