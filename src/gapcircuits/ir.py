@@ -10,6 +10,7 @@ bit 0 is the least significant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import lshift
 from typing import ClassVar
 
 
@@ -30,7 +31,7 @@ class BitString:
             raise CircuitError(f"bits must be 0 or 1, got {self.bits!r}")
 
     def to_int(self) -> int:
-        return sum(b << j for j, b in enumerate(self.bits))
+        return sum(map(lshift, self.bits, range(len(self.bits))))
 
     @property
     def width(self) -> int:
@@ -279,6 +280,13 @@ GATES: dict[str, type] = {cls.KEYWORD: cls for cls in Gate.__args__}
 VOCABULARY = frozenset(Gate.__args__)
 # The classes with rules beyond their wires; Circuit calls check() on these only.
 _CHECKED = frozenset(cls for cls in VOCABULARY if cls.check is not _Gate.check)
+# The classes whose charge() reads the gate; every gate of any other class
+# charges what _Gate.charge gives, so the accountant charges those by count.
+_CHARGED = frozenset(cls for cls in VOCABULARY if cls.charge is not _Gate.charge)
+# The gates whose one wire is their whole check (X and Z): Circuit.extend
+# checks a block's such wires together.
+_ONE_WIRE = frozenset(cls for cls in VOCABULARY
+                      if issubclass(cls, _OneQubit) and not cls.LEADING and cls not in _CHECKED)
 
 
 def mcx_toffoli_cost(controls: int) -> int:
@@ -378,14 +386,29 @@ class Circuit:
         Gates are immutable and, H aside, their checks do not depend on
         where they stand, so a gate listed again needs no second check, and
         a block without H adds nothing when one of its gates is refused.  H
-        must lead, so a block that holds H is added gate by gate.
+        must lead, so a block that holds H is added gate by gate.  The wires
+        of the block's X and Z gates are checked in one pass: all exact
+        ints, then their least and greatest against the qubit range.
         """
         if not self._step:
             raise CircuitError("begin_step must be called before adding gates")
+        distinct = {id(gate): gate for gate in gates}.values()
+        wires = []
         leading = False
-        for gate in {id(gate): gate for gate in gates}.values():
-            self._check_gate(gate)
-            leading |= gate.LEADING
+        try:
+            for gate in distinct:
+                if type(gate) in _ONE_WIRE:
+                    wires.append(gate.target)
+                else:
+                    self._check_gate(gate)
+                    leading |= gate.LEADING
+            if wires and not ({*map(type, wires)} == {int}
+                              and 0 <= min(wires) and max(wires) < self.n_qubits):
+                raise CircuitError("a one-qubit wire is refused")
+        except CircuitError:
+            for gate in distinct:  # raises what add() raises for the first refused gate
+                self._check_gate(gate)
+            raise
         if leading:
             for gate in gates:
                 self.add(gate)

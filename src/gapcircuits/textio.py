@@ -35,7 +35,7 @@ from dataclasses import replace
 
 from .builders import BuiltCircuit
 from .dataload import DataTable
-from .ir import GATES, VOCABULARY, Circuit, CircuitError, _int, new_circuit
+from .ir import GATES, VOCABULARY, Circuit, CircuitError, X, _int, new_circuit
 
 
 def _optional_int(token: str) -> int | None:
@@ -64,10 +64,24 @@ def circuit_to_text(circuit: Circuit) -> str:
         lines.append(f"table {tid} {table.address_width} {table.data_width}")
         for address, value in table.entries:
             lines.append(f"row {address} {value}")
+    append = lines.append
+    x_lines: dict[int, str] = {}  # X target -> its line, within the current step
+    x_step = None
     for gate, step in zip(circuit.gates, circuit.steps):
-        if type(gate) not in VOCABULARY:
+        # X is most of an explicit circuit's lines, and its frames repeat
+        # within a step.  A line is reused only for an exact-int target: an
+        # X(True) equals X(1) as a key but is written "True".
+        if type(gate) is X and type(gate.target) is int:
+            if step != x_step:
+                x_lines, x_step = {}, step
+            line = x_lines.get(gate.target)
+            if line is None:
+                line = x_lines[gate.target] = f"gate {step} X {gate.target}"
+            append(line)
+        elif type(gate) not in VOCABULARY:
             raise CircuitError(f"cannot serialize gate {gate!r}")
-        lines.append(f"gate {step} {gate.KEYWORD} {gate.text()}")
+        else:
+            append(f"gate {step} {gate.KEYWORD} {gate.text()}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,8 +3,9 @@
 For each problem the oracle counts solutions s among `total` candidates
 exhaustively, from the instance alone and never from the circuit, giving
 gap = 2s - total.  The ov and 3sum counts enumerate distinct values with
-their multiplicities; `tests/reference_interpreter.py` keeps the literal
-pair and triple loops to test them against.  Verification simulates the
+their multiplicities, and the nwt count tests only the common neighbours
+of each edge; `tests/reference_interpreter.py` keeps the literal pair and
+triple loops to test them against.  Verification simulates the
 built circuit with the exact path-sum backend and demands
 
     p_acc == gap^2 / 2^k
@@ -20,6 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, groupby, repeat
+from operator import is_
 
 from .builders import (
     BuiltCircuit,
@@ -38,7 +41,7 @@ from .builders import (
     PROBLEM_OV,
     MODE_QRAM,
 )
-from .ir import VOCABULARY, BitString, mcx_toffoli_cost
+from .ir import _CHARGED, VOCABULARY, BitString, mcx_toffoli_cost
 from .simulator import (
     BRANCH_CAP_DEFAULT,
     SimOutcome,
@@ -96,22 +99,17 @@ def oracle_nwt(instance: NwtInstance) -> OracleCounts:
 
     Works straight off the edge list, not the circuit's matrix encoding:
     all three edges must exist (which rules out repeated vertices) and the
-    plain weights must sum below zero.
+    plain weights must sum below zero.  So for each ordered edge (x, y)
+    only the common neighbours z of x and y are tested.
     """
     weight = {}
+    neighbours: dict[int, set[int]] = {}
     for i, j, w in instance.edges:
-        weight[(i, j)] = w
-        weight[(j, i)] = w
-    rng = range(1, instance.n + 1)
-    solutions = 0
-    for x in rng:
-        for y in rng:
-            if (x, y) not in weight:
-                continue
-            for z in rng:
-                if (y, z) in weight and (x, z) in weight \
-                        and weight[(x, y)] + weight[(y, z)] + weight[(x, z)] < 0:
-                    solutions += 1
+        weight[i, j] = weight[j, i] = w
+        neighbours.setdefault(i, set()).add(j)
+        neighbours.setdefault(j, set()).add(i)
+    solutions = sum([1 for (x, y), w in weight.items() for z in neighbours[x] & neighbours[y]
+                     if w + weight[y, z] + weight[x, z] < 0])
     return OracleCounts(solutions, instance.n ** 3)
 
 
@@ -158,24 +156,75 @@ def tally_gates(circuit) -> dict[str, dict[str, int]]:
     return _tally(circuit)[0]
 
 
+# A run of fewer gates under one step label is charged gate by gate: below
+# this length, counting the run by class costs more than it saves.
+_MIN_RUN_BY_CLASS = 16
+
+
 def _tally(circuit) -> tuple[dict[str, dict[str, int]], bool]:
-    """tally_gates, and whether any charged flip expands at most 3 controls."""
+    """tally_gates, and whether any charged flip expands at most 3 controls.
+
+    A run of gates under one step label, if it is not short, is counted
+    by class: a class that keeps `_Gate.charge` charges all its gates
+    alike, so one call stands for the run's count, and only the classes of
+    `_CHARGED` are charged gate by gate.  A row's keys keep the order of
+    their first nonzero charge, as a gate-by-gate tally gives them.
+    """
     gates = circuit.gates
     if not VOCABULARY.issuperset(map(type, gates)):
         gate = next(g for g in gates if type(g) not in VOCABULARY)
         raise InstanceError(f"unknown gate {gate!r}")
     per_step: dict[str, dict[str, int]] = {}
     small_control = False
-    current = row = None
-    for gate, step in zip(gates, circuit.steps):
-        if step is not current:  # a step's gates mostly come in one run
-            row = per_step.setdefault(step, {})
-            current = step
-        kind, amount, controls = gate.charge()
-        if amount:
-            row[kind] = row.get(kind, 0) + amount
-            small_control |= 0 < controls <= 3
+    stop = 0
+    for step, run in groupby(circuit.steps[:len(gates)]):
+        start, stop = stop, stop + len(list(run))
+        run_gates = gates[start:stop]
+        row = per_step.setdefault(step, {})
+        if len(run_gates) < _MIN_RUN_BY_CLASS:
+            for gate in run_gates:
+                kind, amount, controls = gate.charge()
+                if amount:
+                    row[kind] = row.get(kind, 0) + amount
+                    small_control |= 0 < controls <= 3
+            continue
+        run_types = list(map(type, run_gates))
+        first: dict[str, int] = {}  # kind -> run position of its first nonzero charge
+        total: dict[str, int] = {}
+        for cls in dict.fromkeys(run_types):
+            if cls in _CHARGED:
+                ordinal: dict[str, int] = {}  # kind -> which of cls's gates first charges it
+                own = compress(run_gates, map(is_, run_types, repeat(cls)))
+                for j, gate in enumerate(own):
+                    kind, amount, controls = gate.charge()
+                    if amount:
+                        if kind not in ordinal:
+                            ordinal[kind] = j
+                        total[kind] = total.get(kind, 0) + amount
+                        small_control |= 0 < controls <= 3
+                for kind, j in ordinal.items():
+                    position = _nth(run_types, cls, j)
+                    if kind not in first or position < first[kind]:
+                        first[kind] = position
+            else:
+                position = run_types.index(cls)
+                kind, amount, controls = run_gates[position].charge()
+                if amount:
+                    total[kind] = total.get(kind, 0) + amount * run_types.count(cls)
+                    small_control |= 0 < controls <= 3
+                    if kind not in first or position < first[kind]:
+                        first[kind] = position
+        for kind in sorted(first, key=first.__getitem__):
+            row[kind] = row.get(kind, 0) + total[kind]
     return per_step, small_control
+
+
+def _nth(types: list, cls: type, j: int) -> int:
+    """Position of the j-th (from 0) entry of `types` that is `cls`."""
+    position = -1
+    for _ in range(j + 1):
+        position = types.index(cls, position + 1)
+    return position
 
 
 def step_gate_bounds(problem: str, mode: str, n: int, r: int, d: int) -> dict[str, dict[str, int]]:

@@ -8,13 +8,14 @@ path-sum lowering folds into runs.
 Hadamard layer, reading the IR gate fields directly, so it shares no
 lowering with either simulation backend.
 `reference_tally` charges the gates to the accountant one at a time.
-`reference_oracle` counts ov and 3sum solutions with the literal pair and
-triple loops.
+`reference_oracle` counts ov, 3sum and nwt solutions with the literal pair
+and triple loops.
+`reference_text` writes circuit text one gate line at a time.
 """
 
 from hypothesis import strategies as st
 
-from gapcircuits.builders import InstanceError, OVInstance
+from gapcircuits.builders import InstanceError, NwtInstance, OVInstance
 from gapcircuits.dataload import DataTable, emit_loader_unitary
 from gapcircuits.ir import (
     CX, VOCABULARY, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit,
@@ -151,12 +152,48 @@ def reference_tally(circuit):
 
 
 def reference_oracle(instance):
-    """OracleCounts of an ov or 3sum instance, one candidate pair or triple at a time."""
+    """OracleCounts of an instance, one candidate pair or triple at a time."""
     if isinstance(instance, OVInstance):
         u = [bs.to_int() for bs in instance.u]
         v = [bs.to_int() for bs in instance.v]
         solutions = sum(1 for a in u for b in v if a & b == 0)
         return OracleCounts(solutions, instance.n ** 2)
+    if isinstance(instance, NwtInstance):
+        weight = {}
+        for i, j, w in instance.edges:
+            weight[(i, j)] = w
+            weight[(j, i)] = w
+        rng = range(1, instance.n + 1)
+        solutions = 0
+        for x in rng:
+            for y in rng:
+                if (x, y) not in weight:
+                    continue
+                for z in rng:
+                    if (y, z) in weight and (x, z) in weight \
+                            and weight[(x, y)] + weight[(y, z)] + weight[(x, z)] < 0:
+                        solutions += 1
+        return OracleCounts(solutions, instance.n ** 3)
     vals = instance.values
     solutions = sum(1 for a in vals for b in vals for c in vals if a + b + c == 0)
     return OracleCounts(solutions, instance.n ** 3)
+
+
+def reference_text(circuit):
+    """circuit_to_text's output, formatting every gate line afresh."""
+    lines = [f"circuit {circuit.n_qubits}"]
+    for reg in sorted(circuit.registers.values(), key=lambda r: r.offset):
+        lines.append(f"register {reg.name} {reg.offset} {reg.width}")
+    plan = circuit.measurement
+    if plan is not None:
+        lines.append(" ".join(["measure", "z", *map(str, plan.z_qubits)]))
+        lines.append(" ".join(["measure", "x", *map(str, plan.x_qubits)]))
+        lines.append(" ".join(["measure", "none", *map(str, plan.unmeasured)]))
+    for tid in sorted(circuit.tables):
+        table = circuit.tables[tid]
+        lines.append(f"table {tid} {table.address_width} {table.data_width}")
+        for address, value in table.entries:
+            lines.append(f"row {address} {value}")
+    for gate, step in zip(circuit.gates, circuit.steps):
+        lines.append(f"gate {step} {gate.KEYWORD} {gate.text()}")
+    return "\n".join(lines) + "\n"

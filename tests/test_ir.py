@@ -94,6 +94,14 @@ def test_extend_matches_add_per_gate():
         with pytest.raises(CircuitError):
             by_extend.extend(block)
     assert (by_extend.gates, by_extend.steps) == (by_add.gates, by_add.steps)
+    # a bad one-qubit wire after a good gate of equal value is refused as add refuses it
+    for good, bad in ((X(1), X(True)), (X(2), Z(2.0)), (X(0), X(-1)), (X(0), X(4))):
+        with pytest.raises(CircuitError) as by_add_err:
+            by_add.add(bad)
+        with pytest.raises(CircuitError) as by_extend_err:
+            by_extend.extend([good, bad])
+        assert str(by_extend_err.value) == str(by_add_err.value)
+        assert (by_extend.gates, by_extend.steps) == (by_add.gates, by_add.steps)
 
 
 def test_begin_step_required_and_validated():

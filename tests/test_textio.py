@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, build_circuit
-from gapcircuits.instancefile import generate_nwt, generate_ov, generate_threesum
-from gapcircuits.ir import CX, CircuitError, H, MCBitmask, X, new_circuit
+from gapcircuits.cli import SWEEP_CELLS
+from gapcircuits.instancefile import generate, generate_nwt, generate_ov, generate_threesum
+from gapcircuits.ir import CX, CircuitError, H, MCBitmask, X, Z, new_circuit
 from gapcircuits.simulator import simulate_pathsum
 from gapcircuits.textio import (
     built_from_text,
@@ -18,7 +19,7 @@ from gapcircuits.textio import (
     circuit_to_text,
 )
 from gapcircuits.verification import render_report, verify_built
-from reference_interpreter import random_circuit
+from reference_interpreter import random_circuit, reference_text
 
 
 @pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
@@ -196,3 +197,51 @@ def test_round_trip_with_repeated_gates(data):
             circuit.begin_step(data.draw(st.sampled_from(("body", "again"))))
             circuit.add(body[index])
     assert circuit_from_text(circuit_to_text(circuit)) == circuit
+
+
+# --- the writer against one formatted line per gate ---------------------------
+
+
+def _writes_like_reference(circuit):
+    text = circuit_to_text(circuit)
+    assert text == reference_text(circuit)
+    assert circuit_from_text(text) == circuit
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_text_matches_reference_on_random_circuits(data):
+    circuit = random_circuit(data, data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3)))
+    # equal labels need not be one object, as when a circuit is read from text
+    label = st.sampled_from(["s1", "s2"]).flatmap(lambda s: st.sampled_from([s, s[:1] + s[1:]]))
+    circuit.steps[:] = data.draw(st.lists(label, min_size=len(circuit.gates),
+                                          max_size=len(circuit.gates)))
+    _writes_like_reference(circuit)
+
+
+@pytest.mark.parametrize("problem,params", [
+    (problem, params) for problem, cells in SWEEP_CELLS.items() for params in cells])
+def test_explicit_text_matches_reference(problem, params):
+    instance = generate(problem, 11, n=params["n"], d=params.get("d"), bound=params.get("bound"))
+    _writes_like_reference(build_circuit(instance, MODE_EXPLICIT).circuit)
+
+
+def test_x_line_is_written_with_its_own_step():
+    # X on qubit 1 ends step "a1" and starts step "b1"; a label written again
+    # may be an equal str held by another object, as the parser produces it
+    a, b = "a1", "b1"
+    a_again, b_again = a[:1] + a[1:], b[:1] + b[1:]
+    assert (a_again, b_again) == (a, b) and a_again is not a and b_again is not b
+    circuit = new_circuit([("q", 3)])
+    for step, gate in ((a, X(0)), (a, X(1)), (b, X(1)), (b, Z(1)), (b_again, X(1)),
+                       (a_again, X(1)), (a_again, X(0))):
+        circuit.begin_step(step)
+        circuit.add(gate)
+    _writes_like_reference(circuit)
+    assert [line for line in circuit_to_text(circuit).splitlines() if " X " in line] == [
+        "gate a1 X 0", "gate a1 X 1", "gate b1 X 1", "gate b1 X 1", "gate a1 X 1", "gate a1 X 0"]
+    # X(True) equals X(1) but is written as it reads (Circuit.add refuses it)
+    circuit.gates.append(X(True))
+    circuit.steps.append(a_again)
+    assert circuit_to_text(circuit) == reference_text(circuit)
+    assert circuit_to_text(circuit).endswith("gate a1 X 1\ngate a1 X 0\ngate a1 X True\n")

@@ -1,6 +1,7 @@
 """Oracles, the acceptance identity, and the gate-count accountant."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,12 @@ from gapcircuits.builders import (
     ThreeSumInstance,
     build_circuit,
 )
-from gapcircuits.instancefile import generate_nwt, generate_ov, generate_threesum
-from gapcircuits.ir import BitString, MCBitmask, Z, new_circuit
+from gapcircuits.instancefile import generate, generate_nwt, generate_ov, generate_threesum
+from gapcircuits.cli import SWEEP_CELLS
+from gapcircuits.ir import CX, BitString, MCBitmask, Toffoli, X, Z, new_circuit
 from gapcircuits.simulator import SimOutcome, simulate_pathsum
 from gapcircuits.verification import (
+    _MIN_RUN_BY_CLASS,
     _tally,
     dense_agrees,
     gate_accountant,
@@ -61,6 +64,24 @@ def test_oracle_nwt_frozen():
     counts = oracle_nwt(NwtInstance(n=3, weight_bound=2,
                                     edges=((1, 2, 2), (1, 3, -1), (2, 3, -1))))
     assert counts.solutions == 0
+
+
+def _nwt_examples():
+    for params in SWEEP_CELLS["nwt"]:
+        for seed in range(20):
+            yield generate_nwt(params["n"], params["bound"], seed=seed)
+    rng = random.Random(7)  # the CI's nwt n=32 M=3 instance
+    yield NwtInstance(n=32, weight_bound=3, edges=tuple(
+        (i, j, rng.randrange(-3, 4)) for i in range(1, 33) for j in range(i + 1, 33)
+        if rng.getrandbits(1)))
+    yield NwtInstance(n=5, weight_bound=2, edges=())
+    yield NwtInstance(n=6, weight_bound=2, edges=tuple(
+        (i, j, (i * j) % 5 - 2) for i in range(1, 7) for j in range(i + 1, 7)))
+
+
+def test_oracle_nwt_matches_reference():
+    for instance in _nwt_examples():
+        assert oracle_nwt(instance) == reference_oracle(instance), instance
 
 
 @settings(max_examples=80, deadline=None)
@@ -180,24 +201,57 @@ def test_tally_buckets_mcbitmask_into_ccx():
     assert tally_gates(circ)["s"]["CCX"] == 17
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_tally_matches_reference(data):
-    circuit = random_circuit(data, data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3)))
-    circuit.add(MCBitmask((0,), 0, (1, 2), 3))  # charges 0
-    # equal labels need not be one object, as when a circuit is read from text
-    label = st.sampled_from(["s1", "s2", "s3"]).flatmap(
-        lambda s: st.sampled_from([s, s[:1] + s[1:]]))
-    labels = st.lists(label, min_size=len(circuit.gates) - 1, max_size=len(circuit.gates) - 1)
-    circuit.steps[:] = [*data.draw(labels), "zero"]
-    expected, small_control = reference_tally(circuit)
+def _tallies_like_reference(circuit):
     per_step, flag = _tally(circuit)
-    assert per_step["zero"] == {}  # a step whose gates all charge 0 keeps its row
+    expected, small_control = reference_tally(circuit)
     assert flag == small_control
     assert tally_gates(circuit) == per_step == expected
     # dict equality ignores order; the report's rows must keep it
     assert [(step, list(row.items())) for step, row in per_step.items()] == \
         [(step, list(row.items())) for step, row in expected.items()]
+    return per_step
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tally_matches_reference(data):
+    circuit = random_circuit(data, data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3)))
+    circuit.add(MCBitmask((0,), 0, (1, 2), 3))  # charges 0
+    _tallies_like_reference(circuit)  # one step label: a long run is counted by class
+    # equal labels need not be one object, as when a circuit is read from text
+    label = st.sampled_from(["s1", "s2", "s3"]).flatmap(
+        lambda s: st.sampled_from([s, s[:1] + s[1:]]))
+    labels = st.lists(label, min_size=len(circuit.gates) - 1, max_size=len(circuit.gates) - 1)
+    circuit.steps[:] = [*data.draw(labels), "zero"]
+    # a step whose gates all charge 0 keeps its row
+    assert _tallies_like_reference(circuit)["zero"] == {}
+
+
+@pytest.mark.parametrize("problem,params", [
+    (problem, params) for problem, cells in SWEEP_CELLS.items() for params in cells])
+def test_explicit_tally_matches_reference(problem, params):
+    instance = generate(problem, 11, n=params["n"], d=params.get("d"), bound=params.get("bound"))
+    _tallies_like_reference(build_circuit(instance, MODE_EXPLICIT).circuit)
+
+
+@pytest.mark.parametrize("pad", [0, _MIN_RUN_BY_CLASS])
+def test_tally_keeps_first_charge_order(pad):
+    # a zero-mask flip charges nothing, so X is the row's first key, whether
+    # the run is charged gate by gate or, padded, counted by class; a step
+    # label written again may be an equal str held by another object
+    label = "s1"
+    again = label[:1] + label[1:]
+    assert again == label and again is not label
+    circ = new_circuit([("q", 6)])
+    circ.begin_step(label)
+    circ.extend([MCBitmask((0, 1), 0, (2,), 5), X(3), MCBitmask((0, 1), 1, (2,), 5),
+                 Toffoli(0, 1, 4), *[X(3)] * pad])
+    circ.begin_step("t1")
+    circ.add(Z(0))
+    circ.begin_step(again)
+    circ.extend([CX(0, 3), MCBitmask((0, 1, 2), 1, (3,), 5), X(3), *[X(3)] * pad])
+    per_step = _tallies_like_reference(circ)
+    assert per_step == {"s1": {"X": 2 + 2 * pad, "CCX": 6, "CX": 1}, "t1": {"Z": 1}}
 
 
 def test_tally_refuses_foreign_gates():
