@@ -9,6 +9,7 @@ bit 0 is the least significant.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import lshift
 from typing import ClassVar
@@ -220,6 +221,8 @@ class MCBitmask(_Gate):
         if maskbits.strip("01"):
             raise CircuitError("mask must be a 0/1 string")
         n_controls, wires = _int(tokens[2]), [_int(t) for t in tokens[3:]]
+        if n_controls < 0:  # a negative count would slice the wires from the end
+            raise CircuitError(f"MCB control count {n_controls} is negative")
         if len(wires) != n_controls + len(maskbits):
             raise CircuitError("MCB wire count mismatch")
         return cls(tuple(wires[:n_controls]), int(maskbits[::-1], 2),
@@ -270,6 +273,8 @@ class QramLoad(_Gate):
         if len(tokens) < 3:
             raise CircuitError("malformed QRAM gate")
         n_address, tail = _int(tokens[1]), [_int(t) for t in tokens[2:]]
+        if n_address < 0:  # a negative count would index the wires from the end
+            raise CircuitError(f"QRAM address count {n_address} is negative")
         if len(tail) < n_address + 1 or len(tail[n_address + 1:]) != tail[n_address]:
             raise CircuitError("QRAM wire count mismatch")
         return cls(tuple(tail[:n_address]), tuple(tail[n_address + 1:]), tokens[0])
@@ -317,15 +322,18 @@ class MeasurementPlan:
 class Circuit:
     """Mutable while being built; treat as immutable once construction ends.
 
-    `steps` parallels `gates` and tags each gate with the builder step that
-    emitted it, for the gate accountant.  `h_layer_size` is maintained by
-    `add` and counts the leading Hadamards.
+    `step_starts` holds the builder steps, for the gate accountant, as one
+    `(label, index of its first gate)` span per run of gates under one
+    label.  `add`, `extend` and `add_again` open a span only when the label
+    differs by value from the last span's, so no span is empty and no two
+    neighbours share a label.  `h_layer_size` is maintained by `add` and
+    counts the leading Hadamards.
     """
 
     n_qubits: int
     registers: dict[str, Register]
     gates: list[Gate] = field(default_factory=list)
-    steps: list[str] = field(default_factory=list)
+    step_starts: list[tuple[str, int]] = field(default_factory=list)
     tables: dict[str, object] = field(default_factory=dict)
     measurement: MeasurementPlan | None = None
     h_layer_size: int = 0
@@ -335,6 +343,19 @@ class Circuit:
         if label.split() != [label]:  # empty, or holds whitespace
             raise CircuitError(f"step label must be non-empty and without whitespace: {label!r}")
         self._step = label
+
+    def step_runs(self) -> Iterator[tuple[str, int, int]]:
+        """`(label, start, stop)` of each span, cut at the gates there are."""
+        spans, n = self.step_starts, len(self.gates)
+        for (label, start), (_, stop) in zip(spans, [*spans[1:], ("", n)]):
+            if start < n:
+                yield label, start, min(stop, n)
+
+    def _open_span(self, label: str) -> None:
+        """Start a span at the next gate unless the last span has `label`."""
+        spans = self.step_starts
+        if not spans or spans[-1][0] != label:
+            spans.append((label, len(self.gates)))
 
     def reg(self, name: str) -> Register:
         try:
@@ -377,8 +398,15 @@ class Circuit:
             if len(self.gates) != self.h_layer_size:
                 raise CircuitError("H gates are only allowed in the leading layer")
             self.h_layer_size += 1
+        self._open_span(self._step)
         self.gates.append(gate)
-        self.steps.append(self._step)
+
+    def add_again(self, gate: Gate, label: str) -> None:
+        """Make `label` the current step and append `gate`, which this circuit
+        has accepted before and is not H, without checking it again."""
+        self._step = label
+        self._open_span(label)
+        self.gates.append(gate)
 
     def extend(self, gates: list[Gate]) -> None:
         """add() each gate in order, checking each distinct gate object once.
@@ -413,8 +441,9 @@ class Circuit:
             for gate in gates:
                 self.add(gate)
             return
-        self.gates += gates
-        self.steps += [self._step] * len(gates)
+        if gates:
+            self._open_span(self._step)
+            self.gates += gates
 
     def set_measurement(
         self,

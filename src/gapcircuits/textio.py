@@ -15,15 +15,18 @@ Grammar (one directive per line; `#` starts a comment; blank lines ignored):
 
 `maskbits` is the gate's int mask as a 0/1 string, one character per
 target, low bit first; qubit lists are little-endian (first qubit = low
-bit); each gate class in `ir.py` reads and writes its own operands.  Gates appear in execution order and keep their
-step tags, so parsing rebuilds an equal circuit.  The circuit, register,
-table and row lines precede the first gate line, so one pass over the lines
-checks each gate through `Circuit.add` as it reads it; every refusal caused
-by a line starts with `line N:`.  Explicit-mode text repeats its lines, so a
-gate line byte-identical to one already accepted appends that line's gate
-object and step again without a second parse or check, as
-`Circuit.extend` does for a repeated gate; the layout is fixed by then, and
-H, whose check depends on its position, is always parsed afresh.
+bit); each gate class in `ir.py` reads and writes its own operands.  Gates
+appear in execution order, each line tagged with its step span's label;
+the reader gathers neighbouring lines of one label back into one span, so
+parsing rebuilds an equal circuit.  The circuit, register, table and row
+lines precede the first gate line, so one pass over the lines checks each
+gate through `Circuit.add` as it reads it; every refusal caused by a line
+starts with `line N:`.  Explicit-mode text repeats its lines, so a gate
+line byte-identical to one already accepted appends that line's gate
+object again under its step (`Circuit.add_again` where the step changes)
+without a second parse or check, as `Circuit.extend` does for a repeated
+gate; the layout is fixed by then, and H, whose check depends on its
+position, is always parsed afresh.
 
 A built circuit puts one `<key> <value>` line per row of `_HEADER` in front
 of the same body; they are read only before the first other directive.
@@ -65,23 +68,22 @@ def circuit_to_text(circuit: Circuit) -> str:
         for address, value in table.entries:
             lines.append(f"row {address} {value}")
     append = lines.append
-    x_lines: dict[int, str] = {}  # X target -> its line, within the current step
-    x_step = None
-    for gate, step in zip(circuit.gates, circuit.steps):
+    gates = circuit.gates
+    for step, start, stop in circuit.step_runs():
         # X is most of an explicit circuit's lines, and its frames repeat
         # within a step.  A line is reused only for an exact-int target: an
         # X(True) equals X(1) as a key but is written "True".
-        if type(gate) is X and type(gate.target) is int:
-            if step != x_step:
-                x_lines, x_step = {}, step
-            line = x_lines.get(gate.target)
-            if line is None:
-                line = x_lines[gate.target] = f"gate {step} X {gate.target}"
-            append(line)
-        elif type(gate) not in VOCABULARY:
-            raise CircuitError(f"cannot serialize gate {gate!r}")
-        else:
-            append(f"gate {step} {gate.KEYWORD} {gate.text()}")
+        x_lines: dict[int, str] = {}  # X target -> its line in this span
+        for gate in gates[start:stop]:
+            if type(gate) is X and type(gate.target) is int:
+                line = x_lines.get(gate.target)
+                if line is None:
+                    line = x_lines[gate.target] = f"gate {step} X {gate.target}"
+                append(line)
+            elif type(gate) not in VOCABULARY:
+                raise CircuitError(f"cannot serialize gate {gate!r}")
+            else:
+                append(f"gate {step} {gate.KEYWORD} {gate.text()}")
     return "\n".join(lines) + "\n"
 
 
@@ -119,8 +121,12 @@ def _parse(text: str, header: dict | None) -> Circuit:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             known = accepted.get(raw)
             if known is not None:
-                circuit.gates.append(known[0])
-                circuit.steps.append(known[1])
+                gate, label = known
+                if label is step:  # a gate of the current step joins its span
+                    append_gate(gate)
+                else:
+                    circuit.add_again(gate, label)
+                    step = label
                 continue
             tokens = raw.split("#", 1)[0].split()
             if not tokens:  # blanks and comments never end the header block
@@ -139,6 +145,7 @@ def _parse(text: str, header: dict | None) -> Circuit:
                     raise CircuitError("malformed gate line")
                 if circuit is None:
                     circuit, rows = _layout(n_qubits, layout, offsets, tables), None
+                    append_gate = circuit.gates.append
                 cls = GATES.get(tokens[2])
                 if cls is None:
                     raise CircuitError(f"unknown gate kind {tokens[2]!r}")

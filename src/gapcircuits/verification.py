@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, groupby, repeat
+from itertools import compress, repeat
 from operator import is_
 
 from .builders import (
@@ -156,19 +156,19 @@ def tally_gates(circuit) -> dict[str, dict[str, int]]:
     return _tally(circuit)[0]
 
 
-# A run of fewer gates under one step label is charged gate by gate: below
-# this length, counting the run by class costs more than it saves.
+# A step span of fewer gates is charged gate by gate: below this length,
+# counting the span by class costs more than it saves.
 _MIN_RUN_BY_CLASS = 16
 
 
 def _tally(circuit) -> tuple[dict[str, dict[str, int]], bool]:
     """tally_gates, and whether any charged flip expands at most 3 controls.
 
-    A run of gates under one step label, if it is not short, is counted
-    by class: a class that keeps `_Gate.charge` charges all its gates
-    alike, so one call stands for the run's count, and only the classes of
-    `_CHARGED` are charged gate by gate.  A row's keys keep the order of
-    their first nonzero charge, as a gate-by-gate tally gives them.
+    The gates of a step span, if they are not few, are counted by class:
+    a class that keeps `_Gate.charge` charges all its gates alike, so one
+    call stands for the span's count, and only the classes of `_CHARGED`
+    are charged gate by gate.  A row's keys keep the order of their first
+    nonzero charge, as a gate-by-gate tally gives them.
     """
     gates = circuit.gates
     if not VOCABULARY.issuperset(map(type, gates)):
@@ -176,9 +176,7 @@ def _tally(circuit) -> tuple[dict[str, dict[str, int]], bool]:
         raise InstanceError(f"unknown gate {gate!r}")
     per_step: dict[str, dict[str, int]] = {}
     small_control = False
-    stop = 0
-    for step, run in groupby(circuit.steps[:len(gates)]):
-        start, stop = stop, stop + len(list(run))
+    for step, start, stop in circuit.step_runs():
         run_gates = gates[start:stop]
         row = per_step.setdefault(step, {})
         if len(run_gates) < _MIN_RUN_BY_CLASS:
@@ -285,13 +283,8 @@ def gate_accountant(built: BuiltCircuit) -> GateCountReport:
     """Compare actual per-step counts against the budgets; all must be <=."""
     per_step, small_control = _tally(built.circuit)
     bounds = step_gate_bounds(built.problem, built.mode, built.n, built.r, built.d)
-    # Every gate needs its step tag, or the per-step rows miscount.
-    ok = len(built.circuit.gates) == len(built.circuit.steps)
-    for step, row in per_step.items():
-        allowed = bounds.get(step, {})
-        for kind, count in row.items():
-            if count > allowed.get(kind, 0):
-                ok = False
+    ok = all(count <= bounds.get(step, {}).get(kind, 0)
+             for step, row in per_step.items() for kind, count in row.items())
     notes = [_SMALL_CONTROL_NOTE] if small_control else []
     return GateCountReport(per_step, bounds, ok, tuple(notes))
 

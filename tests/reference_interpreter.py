@@ -7,6 +7,7 @@ path-sum lowering folds into runs.
 `reference_word` runs one basis word through the gates after the
 Hadamard layer, reading the IR gate fields directly, so it shares no
 lowering with either simulation backend.
+`step_labels` expands a circuit's step spans to one label per gate, and
 `reference_tally` charges the gates to the accountant one at a time.
 `reference_oracle` counts ov, 3sum and nwt solutions with the literal pair
 and triple loops.
@@ -86,23 +87,45 @@ def _draw_loader(data, circuit, index):
         emit_loader_unitary(circuit, table, address, wires, order[-1])
 
 
-def random_circuit(data, n_qubits, h, mirror=False, kinds=KINDS):
+def step_label_lists(names):
+    """Lists of one or two step labels drawn from `names`, to begin in turn.
+
+    An equal label may be held by another str object, as the text reader
+    makes them, and the first of two labels gets no gates.
+    """
+    label = st.sampled_from(names).flatmap(lambda s: st.sampled_from([s, s[:1] + s[1:]]))
+    return st.lists(label, min_size=1, max_size=2)
+
+
+def random_circuit(data, n_qubits, h, mirror=False, kinds=KINDS, steps=None):
     """H on h distinct qubits, up to 24 random permutation gates or loader blocks, a random plan.
 
     With `mirror`, the gates are followed by a drawn prefix of themselves in
-    reverse, so the circuit undoes what that prefix computed.
+    reverse, so the circuit undoes what that prefix computed.  With `steps`,
+    a strategy of label lists such as `step_label_lists`, a list is drawn
+    before each gate or block and its labels go to `begin_step` in turn;
+    without it every gate is in step "body".
     """
     circuit = new_circuit([("q", n_qubits)])
     circuit.begin_step("body")
+
+    def begin():
+        if steps is not None:
+            for label in data.draw(steps):
+                circuit.begin_step(label)
+
     for q in data.draw(st.permutations(range(n_qubits)))[:h]:
+        begin()
         circuit.add(H(q))
     for index, kind in enumerate(data.draw(st.lists(st.sampled_from(kinds), max_size=24))):
+        begin()
         if kind == "Loader":
             _draw_loader(data, circuit, index)
         else:
             circuit.add(_draw_gate(data, circuit, kind, index))
     if mirror:
         body = circuit.gates[h:]
+        begin()
         circuit.extend(body[:data.draw(st.integers(0, len(body)))][::-1])
     order = data.draw(st.permutations(range(n_qubits)))
     n_z = data.draw(st.integers(0, n_qubits))
@@ -136,11 +159,21 @@ def reference_word(circuit, word):
     return word, sign
 
 
+def step_labels(circuit):
+    """The step label of each gate, read from the spans one gate at a time."""
+    starts = {start: label for label, start in circuit.step_starts}
+    labels, label = [], None
+    for index in range(len(circuit.gates)):
+        label = starts.get(index, label)
+        labels.append(label)
+    return labels
+
+
 def reference_tally(circuit):
     """Per-step accountant rows and the small-control flag, one gate at a time."""
     per_step = {}
     small_control = False
-    for gate, step in zip(circuit.gates, circuit.steps):
+    for gate, step in zip(circuit.gates, step_labels(circuit)):
         if type(gate) not in VOCABULARY:
             raise InstanceError(f"unknown gate {gate!r}")
         row = per_step.setdefault(step, {})
@@ -194,6 +227,6 @@ def reference_text(circuit):
         lines.append(f"table {tid} {table.address_width} {table.data_width}")
         for address, value in table.entries:
             lines.append(f"row {address} {value}")
-    for gate, step in zip(circuit.gates, circuit.steps):
+    for gate, step in zip(circuit.gates, step_labels(circuit)):
         lines.append(f"gate {step} {gate.KEYWORD} {gate.text()}")
     return "\n".join(lines) + "\n"

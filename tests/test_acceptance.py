@@ -320,7 +320,6 @@ def test_criterion_10_mutation_detected(capsys):
 
     assert isinstance(built.circuit.gates[-1], Z)
     built.circuit.gates.pop()  # the single deleted gate
-    built.circuit.steps.pop()
     mutated = verify_built(inst, built)
     assert not mutated.identity_ok
     assert not mutated.ok

@@ -164,6 +164,23 @@ def test_simulate_malformed_header_integer_exits_2(tmp_path, capsys):
     assert "error: line 3: expected integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,message", [
+    ("gate 6 MCB 9 100 -1 3 4", "MCB control count -1 is negative"),
+    ("gate 6 QRAM u -2 3 1 5", "QRAM address count -2 is negative"),
+])
+def test_simulate_negative_operand_count_exits_2(tmp_path, capsys, line, message):
+    inst, circ = tmp_path / "inst.json", tmp_path / "circ.txt"
+    main(["gen", "ov", "-n", "2", "-d", "1", "--seed", "0", "--out", str(inst)])
+    main(["build", str(inst), "--out", str(circ)])
+    text = circ.read_text()
+    circ.write_text(text + line + "\n")
+    capsys.readouterr()
+    assert main(["simulate", str(circ)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: line {len(text.splitlines()) + 1}: {message}" in captured.err
+
+
 def test_verify_refuses_branch_cap_before_building(tmp_path, monkeypatch, capsys):
     # r = 11, so 2^33 branches; building would first fill a 2^22-entry table
     inst = tmp_path / "nwt.json"
@@ -333,16 +350,16 @@ def test_sweep_mutation_control(capsys, monkeypatch):
     controls = []
 
     def capture(instance, built, **kwargs):
-        controls.append(built.circuit)
-        return verify_built(instance, built, **kwargs)
+        controls.append(verify_built(instance, built, **kwargs))
+        return controls[-1]
 
     monkeypatch.setattr(cli, "verify_built", capture)
     assert main(["sweep", "--problem", "ov", "--trials", "1", "--mutation-control"]) == 1
     text = capsys.readouterr().out
     assert "control: mutation detected" in text
-    # the dropped phase gate takes its step tag with it
-    [circuit] = controls
-    assert len(circuit.gates) == len(circuit.steps)
+    # the dropped phase gate was step 6's only gate, so the step has no row
+    [control] = controls
+    assert "6" not in control.gates.per_step
 
 
 def test_console_script_entry():

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gapcircuits.ir import (
     BitString,
@@ -21,8 +21,9 @@ from gapcircuits.ir import (
 from gapcircuits.builders import InstanceError, OVInstance
 from gapcircuits.dataload import DataTable
 from gapcircuits.simulator import SimulationError, simulate_dense, simulate_pathsum
-from gapcircuits.textio import circuit_to_text
-from gapcircuits.verification import tally_gates
+from gapcircuits.textio import circuit_from_text, circuit_to_text
+from gapcircuits.verification import _tally, tally_gates
+from reference_interpreter import random_circuit, reference_tally, step_label_lists
 
 
 def test_bitstring_int_round_trip():
@@ -88,12 +89,12 @@ def test_extend_matches_add_per_gate():
         by_extend.begin_step(step)
         by_extend.extend(block)
     assert by_extend.h_layer_size == by_add.h_layer_size == 2
-    assert (by_extend.gates, by_extend.steps) == (by_add.gates, by_add.steps)
+    assert (by_extend.gates, by_extend.step_starts) == (by_add.gates, by_add.step_starts)
     # a refused gate, listed once or again, keeps its whole block out
     for block in ([x, X(4), x], [x, CX(1, 1), x], [X(True), x], [H(3), x], [x, "X 1"]):
         with pytest.raises(CircuitError):
             by_extend.extend(block)
-    assert (by_extend.gates, by_extend.steps) == (by_add.gates, by_add.steps)
+    assert (by_extend.gates, by_extend.step_starts) == (by_add.gates, by_add.step_starts)
     # a bad one-qubit wire after a good gate of equal value is refused as add refuses it
     for good, bad in ((X(1), X(True)), (X(2), Z(2.0)), (X(0), X(-1)), (X(0), X(4))):
         with pytest.raises(CircuitError) as by_add_err:
@@ -101,7 +102,7 @@ def test_extend_matches_add_per_gate():
         with pytest.raises(CircuitError) as by_extend_err:
             by_extend.extend([good, bad])
         assert str(by_extend_err.value) == str(by_add_err.value)
-        assert (by_extend.gates, by_extend.steps) == (by_add.gates, by_add.steps)
+        assert (by_extend.gates, by_extend.step_starts) == (by_add.gates, by_add.step_starts)
 
 
 def test_begin_step_required_and_validated():
@@ -114,7 +115,52 @@ def test_begin_step_required_and_validated():
         circ.begin_step("bad step")
     circ.begin_step("1")
     circ.add(X(0))
-    assert circ.steps == ["1"]
+    assert circ.step_starts == [("1", 0)]
+
+
+def test_refused_gates_open_no_span():
+    circ = new_circuit([("q", 3)])
+    circ.begin_step("a")
+    circ.add(H(0))
+    circ.add(X(1))
+    circ.begin_step("b")
+    for bad in (X(3), H(2), CX(1, 1)):
+        with pytest.raises(CircuitError):
+            circ.add(bad)
+    for block in ([X(1), X(3)], [X(2), CX(0, 0), X(2)], [X(1), X(True)]):
+        with pytest.raises(CircuitError):
+            circ.extend(block)
+    circ.extend([])
+    assert circ.step_starts == [("a", 0)]
+    assert len(circ.gates) == 2
+    circ.extend([X(2), Z(2)])
+    assert circ.step_starts == [("a", 0), ("b", 2)]
+
+
+def test_step_runs_are_cut_at_the_gates():
+    circ = new_circuit([("q", 2)])
+    for label, block in (("a", [X(0), X(1)]), ("b", [Z(0)]), ("c", [Z(1)])):
+        circ.begin_step(label)
+        circ.extend(block)
+    assert list(circ.step_runs()) == [("a", 0, 2), ("b", 2, 3), ("c", 3, 4)]
+    del circ.gates[1:]  # bypasses the spans, as the sweep's mutation control does
+    assert list(circ.step_runs()) == [("a", 0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_step_spans_follow_the_labels(data):
+    # labels come per gate or block, one or two begun in turn, and may come
+    # back (a, b, a) or be equal strs held by different objects
+    circuit = random_circuit(data, data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3)),
+                             steps=step_label_lists(["a1", "b1", "c1"]))
+    labels = [label for label, _ in circuit.step_starts]
+    starts = [start for _, start in circuit.step_starts]
+    assert starts == sorted(set(starts))  # no empty span before another
+    assert not starts or (starts[0] == 0 and starts[-1] < len(circuit.gates))
+    assert all(label != after for label, after in zip(labels, labels[1:]))
+    assert circuit_from_text(circuit_to_text(circuit)) == circuit
+    assert _tally(circuit) == reference_tally(circuit)
 
 
 def test_gate_operand_validation():
@@ -201,8 +247,7 @@ def test_foreign_gate_refused_everywhere():
         circ.add(Swap(0, 1))
     circ.add(X(0))
     circ.set_measurement((0,), (1,))
-    circ.gates.append(Swap(0, 1))
-    circ.steps.append("1")
+    circ.gates.append(Swap(0, 1))  # joins the last step span
     with pytest.raises(CircuitError, match="Swap"):
         circuit_to_text(circ)
     with pytest.raises(InstanceError, match="Swap"):

@@ -190,7 +190,6 @@ def test_malformed_h_layer_detected():
     circ.begin_step("1")
     circ.add(X(0))
     circ.gates.insert(1, H(1))  # bypasses add() on purpose
-    circ.steps.insert(1, "1")
     circ.set_measurement((0,), (1,))
     with pytest.raises(SimulationError):
         simulate_pathsum(circ)

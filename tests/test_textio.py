@@ -19,7 +19,7 @@ from gapcircuits.textio import (
     circuit_to_text,
 )
 from gapcircuits.verification import render_report, verify_built
-from reference_interpreter import random_circuit, reference_text
+from reference_interpreter import random_circuit, reference_text, step_label_lists
 
 
 @pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
@@ -33,7 +33,7 @@ def test_circuit_round_trip(make, args, mode):
     assert back.n_qubits == built.circuit.n_qubits
     assert back.registers == built.circuit.registers
     assert back.gates == built.circuit.gates
-    assert back.steps == built.circuit.steps
+    assert back.step_starts == built.circuit.step_starts
     assert back.tables == built.circuit.tables
     assert back.measurement == built.circuit.measurement
     assert back.h_layer_size == built.circuit.h_layer_size
@@ -114,6 +114,19 @@ def test_malformed_text_rejected(bad, fragment):
     assert fragment in str(err.value).lower()
 
 
+@pytest.mark.parametrize("line,message", [
+    # accepted once as MCBitmask((3,), 1, (4,), 5) and written back as "5 1 1 3 4"
+    ("gate s MCB 5 100 -1 3 4", "MCB control count -1 is negative"),
+    # accepted once with address (3, 4) and data (5,)
+    ("gate s QRAM t -2 3 4 1 5", "QRAM address count -2 is negative"),
+])
+def test_negative_operand_counts_rejected(line, message):
+    text = f"circuit 6\nregister q 0 6\ntable t 2 1\nrow 0 1\n{line}\n"
+    with pytest.raises(CircuitError) as err:
+        circuit_from_text(text)
+    assert str(err.value) == f"line 5: {message}"
+
+
 def test_built_header_required():
     built = build_circuit(generate_ov(2, 1, seed=1), MODE_QRAM)
     body_only = circuit_to_text(built.circuit)
@@ -170,7 +183,8 @@ def test_repeated_lines_keep_their_steps():
     text = circuit_to_text(circuit)
     back = circuit_from_text(text)
     assert back == circuit
-    assert back.steps == ["s", "a", "b", "a", "a", "b", "a", "b", "c", "c", "a", "c"]
+    assert back.step_starts == [("s", 0), ("a", 1), ("b", 2), ("a", 3), ("b", 5), ("a", 6),
+                                ("b", 7), ("c", 8), ("a", 10), ("c", 11)]
     assert [line.split()[4] for line in text.splitlines() if " MCB " in line] == [
         "0001", "1000", "0001", "0000"]
     assert circuit_to_text(back) == text
@@ -211,11 +225,9 @@ def _writes_like_reference(circuit):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_text_matches_reference_on_random_circuits(data):
-    circuit = random_circuit(data, data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3)))
     # equal labels need not be one object, as when a circuit is read from text
-    label = st.sampled_from(["s1", "s2"]).flatmap(lambda s: st.sampled_from([s, s[:1] + s[1:]]))
-    circuit.steps[:] = data.draw(st.lists(label, min_size=len(circuit.gates),
-                                          max_size=len(circuit.gates)))
+    circuit = random_circuit(data, data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3)),
+                             steps=step_label_lists(["s1", "s2"]))
     _writes_like_reference(circuit)
 
 
@@ -241,7 +253,6 @@ def test_x_line_is_written_with_its_own_step():
     assert [line for line in circuit_to_text(circuit).splitlines() if " X " in line] == [
         "gate a1 X 0", "gate a1 X 1", "gate b1 X 1", "gate b1 X 1", "gate a1 X 1", "gate a1 X 0"]
     # X(True) equals X(1) but is written as it reads (Circuit.add refuses it)
-    circuit.gates.append(X(True))
-    circuit.steps.append(a_again)
+    circuit.gates.append(X(True))  # joins the last step span, a1
     assert circuit_to_text(circuit) == reference_text(circuit)
     assert circuit_to_text(circuit).endswith("gate a1 X 1\ngate a1 X 0\ngate a1 X True\n")
