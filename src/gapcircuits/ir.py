@@ -198,6 +198,17 @@ class MCBitmask(_Gate):
             raise CircuitError("MCBitmask needs at least one control")
         if not self.targets:  # the text format has no spelling for an empty mask
             raise CircuitError("MCBitmask needs at least one target")
+        self.check_mask()
+
+    # A loader's flips share one wiring and differ in mask only, so
+    # Circuit.extend and textio do the wire work once per wiring.
+    def same_wiring(self, other: MCBitmask) -> bool:
+        """Whether both hold the same wiring objects; equal ones do not
+        count, as (1,) == (True,)."""
+        return (self.controls is other.controls and self.targets is other.targets
+                and self.ancilla is other.ancilla)
+
+    def check_mask(self) -> None:
         # type() is int refuses bools, as Circuit.add does for wires; a
         # negative int shifts down to -1, never to 0, so the shift refuses it.
         if type(self.mask) is not int or self.mask >> len(self.targets):
@@ -208,24 +219,32 @@ class MCBitmask(_Gate):
         return ("flip", self.controls,
                 tuple([t for j, t in enumerate(self.targets) if mask >> j & 1]))
 
-    def text(self) -> str:
+    def wiring_text(self) -> tuple[str, str]:
+        """The operand text before and after the maskbits."""
         wires = " ".join(map(str, (*self.controls, *self.targets)))
-        maskbits = format(self.mask, f"0{len(self.targets)}b")[::-1]
-        return f"{self.ancilla} {maskbits} {len(self.controls)} {wires}"
+        return f"{self.ancilla} ", f" {len(self.controls)} {wires}"
+
+    def text(self) -> str:
+        head, tail = self.wiring_text()
+        return head + maskbits(self.mask, len(self.targets)) + tail
+
+    def with_maskbits(self, bits: str) -> MCBitmask:
+        """This wiring with the mask that `bits`, 0/1 as long as the targets, spells."""
+        return MCBitmask(self.controls, int(bits[::-1], 2), self.targets, self.ancilla)
 
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> MCBitmask:
         if len(tokens) < 3:
             raise CircuitError("malformed MCB gate")
-        ancilla, maskbits = _int(tokens[0]), tokens[1]
-        if maskbits.strip("01"):
+        ancilla, bits = _int(tokens[0]), tokens[1]
+        if bits.strip("01"):
             raise CircuitError("mask must be a 0/1 string")
         n_controls, wires = _int(tokens[2]), [_int(t) for t in tokens[3:]]
         if n_controls < 0:  # a negative count would slice the wires from the end
             raise CircuitError(f"MCB control count {n_controls} is negative")
-        if len(wires) != n_controls + len(maskbits):
+        if len(wires) != n_controls + len(bits):
             raise CircuitError("MCB wire count mismatch")
-        return cls(tuple(wires[:n_controls]), int(maskbits[::-1], 2),
+        return cls(tuple(wires[:n_controls]), int(bits[::-1], 2),
                    tuple(wires[n_controls:]), ancilla)
 
     def charge(self) -> tuple[str, int, int]:
@@ -292,6 +311,13 @@ _CHARGED = frozenset(cls for cls in VOCABULARY if cls.charge is not _Gate.charge
 # checks a block's such wires together.
 _ONE_WIRE = frozenset(cls for cls in VOCABULARY
                       if issubclass(cls, _OneQubit) and not cls.LEADING and cls not in _CHECKED)
+# The flips with an int `mask` over `targets` that may share a wiring (same_wiring).
+_WIRED = frozenset(cls for cls in VOCABULARY if hasattr(cls, "same_wiring"))
+
+
+def maskbits(mask: int, width: int) -> str:
+    """A bitmask flip's mask as text: one 0/1 character per target, low bit first."""
+    return format(mask, f"0{width}b")[::-1]
 
 
 def mcx_toffoli_cost(controls: int) -> int:
@@ -409,32 +435,44 @@ class Circuit:
         self.gates.append(gate)
 
     def extend(self, gates: list[Gate]) -> None:
-        """add() each gate in order, checking each distinct gate object once.
+        """add() each gate in order, in one pass over the block.
 
         Gates are immutable and, H aside, their checks do not depend on
-        where they stand, so a gate listed again needs no second check, and
-        a block without H adds nothing when one of its gates is refused.  H
-        must lead, so a block that holds H is added gate by gate.  The wires
-        of the block's X and Z gates are checked in one pass: all exact
-        ints, then their least and greatest against the qubit range.
+        where they stand, so a gate object listed again needs no second
+        check, and a block without H adds nothing when one of its gates is
+        refused.  H must lead, so a block that holds H is added gate by
+        gate.  The wires of the block's X and Z gates are checked together:
+        all exact ints, then their least and greatest against the qubit
+        range.  A bitmask flip that holds the very wiring objects of the
+        last flip checked in full (same_wiring), as a loader's flips do,
+        has only its mask checked.
         """
         if not self._step:
             raise CircuitError("begin_step must be called before adding gates")
-        distinct = {id(gate): gate for gate in gates}.values()
         wires = []
         leading = False
+        wired = None  # the block's last flip checked in full
+        checked = set()  # ids of the other gates checked
         try:
-            for gate in distinct:
-                if type(gate) in _ONE_WIRE:
+            for gate in gates:
+                cls = type(gate)
+                if cls in _ONE_WIRE:
                     wires.append(gate.target)
-                else:
+                elif cls in _WIRED:
+                    if wired is not None and gate.same_wiring(wired):
+                        gate.check_mask()
+                    else:
+                        self._check_gate(gate)
+                        wired = gate
+                elif id(gate) not in checked:
+                    checked.add(id(gate))
                     self._check_gate(gate)
                     leading |= gate.LEADING
             if wires and not ({*map(type, wires)} == {int}
                               and 0 <= min(wires) and max(wires) < self.n_qubits):
                 raise CircuitError("a one-qubit wire is refused")
         except CircuitError:
-            for gate in distinct:  # raises what add() raises for the first refused gate
+            for gate in gates:  # raises what add() raises for the first refused gate
                 self._check_gate(gate)
             raise
         if leading:

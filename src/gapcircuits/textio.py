@@ -24,9 +24,12 @@ gate through `Circuit.add` as it reads it; every refusal caused by a line
 starts with `line N:`.  Explicit-mode text repeats its lines, so a gate
 line byte-identical to one already accepted appends that line's gate
 object again under its step (`Circuit.add_again` where the step changes)
-without a second parse or check, as `Circuit.extend` does for a repeated
-gate; the layout is fixed by then, and H, whose check depends on its
-position, is always parsed afresh.
+without a second parse or check; the layout is fixed by then, and H, whose
+check depends on its position, is always parsed afresh.  A flip line that
+differs from an accepted one only in maskbits of the same length takes
+that gate's wiring objects, and its mask fits by construction.  The
+writer formats a wiring once per step span and wiring objects, and
+maskbits once per exact-int mask and width.
 
 A built circuit puts one `<key> <value>` line per row of `_HEADER` in front
 of the same body; they are read only before the first other directive.
@@ -38,7 +41,8 @@ from dataclasses import replace
 
 from .builders import BuiltCircuit
 from .dataload import DataTable
-from .ir import GATES, VOCABULARY, Circuit, CircuitError, X, _int, new_circuit
+from .ir import (GATES, VOCABULARY, _WIRED, Circuit, CircuitError, X, _int, maskbits,
+                 new_circuit)
 
 
 def _optional_int(token: str) -> int | None:
@@ -69,18 +73,31 @@ def circuit_to_text(circuit: Circuit) -> str:
             lines.append(f"row {address} {value}")
     append = lines.append
     gates = circuit.gates
+    masks: dict[tuple[int, int], str] = {}  # exact-int (mask, width) -> its maskbits
     for step, start, stop in circuit.step_runs():
         # X is most of an explicit circuit's lines, and its frames repeat
         # within a step.  A line is reused only for an exact-int target: an
         # X(True) equals X(1) as a key but is written "True".
         x_lines: dict[int, str] = {}  # X target -> its line in this span
+        wired = None  # the span's last flip whose wiring text is head, tail
         for gate in gates[start:stop]:
-            if type(gate) is X and type(gate.target) is int:
+            cls = type(gate)
+            if cls is X and type(gate.target) is int:
                 line = x_lines.get(gate.target)
                 if line is None:
                     line = x_lines[gate.target] = f"gate {step} X {gate.target}"
                 append(line)
-            elif type(gate) not in VOCABULARY:
+            elif cls in _WIRED and type(gate.mask) is int:
+                if wired is None or not gate.same_wiring(wired):
+                    wired = gate
+                    head, tail = gate.wiring_text()
+                    head = f"gate {step} {cls.KEYWORD} {head}"
+                key = gate.mask, len(gate.targets)
+                bits = masks.get(key)
+                if bits is None:
+                    bits = masks[key] = maskbits(*key)
+                append(head + bits + tail)
+            elif cls not in VOCABULARY:
                 raise CircuitError(f"cannot serialize gate {gate!r}")
             else:
                 append(f"gate {step} {gate.KEYWORD} {gate.text()}")
@@ -116,10 +133,23 @@ def _parse(text: str, header: dict | None) -> Circuit:
     measure: dict[str, tuple[int, ...]] = {}
     tables: list[tuple[DataTable, dict[int, int]]] = []
     accepted: dict[str, tuple] = {}  # accepted gate line, H aside -> (gate, step)
+    # An accepted flip line's space-split fields, its maskbits replaced by
+    # their length -> (gate, step).
+    wirings: dict[tuple, tuple] = {}
     lineno = 0
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             known = accepted.get(raw)
+            if known is None:
+                fields = raw.split(" ", 5)
+                bits = fields[4] if len(fields) == 6 else ""
+                if bits:
+                    fields[4] = len(bits)
+                    wiring = tuple(fields)
+                    flip = wirings.get(wiring)
+                    if flip is not None and not bits.strip("01"):
+                        gate, label = flip  # that flip's wiring with these maskbits
+                        known = accepted[raw] = gate.with_maskbits(bits), label
             if known is not None:
                 gate, label = known
                 if label is step:  # a gate of the current step joins its span
@@ -156,6 +186,8 @@ def _parse(text: str, header: dict | None) -> Circuit:
                 circuit.add(gate)
                 if not gate.LEADING:
                     accepted[raw] = (gate, step)
+                    if cls in _WIRED and [*fields[:4], bits] == tokens[:5]:
+                        wirings[wiring] = (gate, step)
             elif circuit is not None and word in ("register", "table"):
                 raise CircuitError(f"{word} line after the first gate line")
             elif word == "circuit":

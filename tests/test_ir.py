@@ -95,12 +95,30 @@ def test_extend_matches_add_per_gate():
         with pytest.raises(CircuitError):
             by_extend.extend(block)
     assert (by_extend.gates, by_extend.step_starts) == (by_add.gates, by_add.step_starts)
-    # a bad one-qubit wire after a good gate of equal value is refused as add refuses it
-    for good, bad in ((X(1), X(True)), (X(2), Z(2.0)), (X(0), X(-1)), (X(0), X(4))):
+    # a bad wire after a good gate of equal value is refused as add refuses it
+    for good, bad in ((X(1), X(True)), (X(2), Z(2.0)), (X(0), X(-1)), (X(0), X(4)),
+                      (CX(0, 1), CX(0, True))):
         with pytest.raises(CircuitError) as by_add_err:
             by_add.add(bad)
         with pytest.raises(CircuitError) as by_extend_err:
             by_extend.extend([good, bad])
+        assert str(by_extend_err.value) == str(by_add_err.value)
+        assert (by_extend.gates, by_extend.step_starts) == (by_add.gates, by_add.step_starts)
+    # a flip that holds an accepted flip's very wiring objects still has its
+    # mask checked; a wiring equal to an accepted one but held by other
+    # objects, or shared and holding a bool, is checked in full
+    controls, targets, shared = (0,), (1, 2), (True,)
+    cases = [(MCBitmask(controls, 3, targets, 3), MCBitmask(controls, mask, targets, 3))
+             for mask in (True, -1, 4)]
+    cases += [(MCBitmask(shared, 1, targets, 3), MCBitmask(shared, 2, targets, 3)),
+              (MCBitmask(controls, 1, (shared[0], 2), 3), MCBitmask(controls, 1, (True, 2), 3)),
+              (MCBitmask((1,), 1, (2,), 3), MCBitmask((True,), 1, (2,), 3)),
+              (MCBitmask(controls, 1, (2,), 1), MCBitmask(controls, 1, (2,), True))]
+    for good, bad in cases:
+        with pytest.raises(CircuitError) as by_add_err:
+            by_add.add(bad)
+        with pytest.raises(CircuitError) as by_extend_err:
+            by_extend.extend([X(0), good, X(0), bad])
         assert str(by_extend_err.value) == str(by_add_err.value)
         assert (by_extend.gates, by_extend.step_starts) == (by_add.gates, by_add.step_starts)
 

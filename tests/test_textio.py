@@ -201,6 +201,56 @@ def test_explicit_text_shares_one_gate_per_distinct_line(make, args):
     assert len({id(gate) for gate in gates}) <= len(set(gate_lines))
 
 
+@pytest.mark.parametrize("problem,params", [
+    (problem, params) for problem, cells in SWEEP_CELLS.items() for params in cells])
+def test_explicit_built_text_is_a_fixed_point(problem, params):
+    instance = generate(problem, 6, n=params["n"], d=params.get("d"), bound=params.get("bound"))
+    built = build_circuit(instance, MODE_EXPLICIT)
+    text = built_to_text(built)
+    back = built_from_text(text)
+    assert back == built
+    assert built_to_text(back) == text
+
+
+def _flip_lines(*lines):
+    return "circuit 6\nregister q 0 6\n" + "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("line,step,gate", [
+    ("gate s MCB 5 10 2 0 1 2 3", "s", MCBitmask((0, 1), 1, (2, 3), 5)),
+    ("gate t MCB 5 10 2 0 1 2 3", "t", MCBitmask((0, 1), 1, (2, 3), 5)),
+    ("gate s MCB 4 10 2 0 1 2 3", "s", MCBitmask((0, 1), 1, (2, 3), 4)),
+    ("gate s MCB 5 10 2 0 1 3 2", "s", MCBitmask((0, 1), 1, (3, 2), 5)),
+    ("gate s MCB 5 10 2 0 1 2 3 # note", "s", MCBitmask((0, 1), 1, (2, 3), 5)),
+    ("gate s MCB 5 101 1 0 1 2 3", "s", MCBitmask((0,), 5, (1, 2, 3), 5)),
+])
+def test_flip_line_reuses_wiring_only_when_just_its_maskbits_differ(line, step, gate):
+    first = MCBitmask((0, 1), 2, (2, 3), 5)
+    circuit = circuit_from_text(_flip_lines("gate s MCB 5 01 2 0 1 2 3", line))
+    expected = new_circuit([("q", 6)])
+    for label, flip in (("s", first), (step, gate)):
+        expected.begin_step(label)
+        expected.add(flip)
+    assert circuit == expected
+    reused = circuit.gates[1].controls is circuit.gates[0].controls
+    assert reused == (line == "gate s MCB 5 10 2 0 1 2 3")
+
+
+@pytest.mark.parametrize("first,line,message", [
+    ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 011 2 0 1 2 3", "MCB wire count mismatch"),
+    ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 1 2 0 1 2 3", "MCB wire count mismatch"),
+    ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 0x 2 0 1 2 3", "mask must be a 0/1 string"),
+    ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 1# 2 0 1 2 3", "malformed MCB gate"),
+    # read as maskbits 0 over one target: the space-split field 0\t1 is no maskbits
+    ("gate s MCB 5 0\t1 3 4", "gate s MCB 5 011 3 4", "MCB wire count mismatch"),
+])
+def test_flip_line_after_an_accepted_one_is_checked(first, line, message):
+    assert circuit_from_text(_flip_lines(first)).gates
+    with pytest.raises(CircuitError) as err:
+        circuit_from_text(_flip_lines(first, line))
+    assert str(err.value) == f"line 4: {message}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_round_trip_with_repeated_gates(data):
@@ -256,3 +306,27 @@ def test_x_line_is_written_with_its_own_step():
     circuit.gates.append(X(True))  # joins the last step span, a1
     assert circuit_to_text(circuit) == reference_text(circuit)
     assert circuit_to_text(circuit).endswith("gate a1 X 1\ngate a1 X 0\ngate a1 X True\n")
+
+
+def test_flip_wiring_is_written_with_its_own_step():
+    # one wiring, and one flip object, under spans a, b and a again
+    controls, targets = (0, 1), (2, 3)
+    flip = MCBitmask(controls, 1, targets, 4)
+    circuit = new_circuit([("q", 5)])
+    for step, mask in (("a", 1), ("a", 2), ("b", 1), ("b", 3), ("a", 1), ("a", 2)):
+        circuit.begin_step(step)
+        circuit.add(flip if mask == 1 else MCBitmask(controls, mask, targets, 4))
+    _writes_like_reference(circuit)
+    assert [line.split()[1] for line in circuit_to_text(circuit).splitlines()
+            if " MCB " in line] == ["a", "a", "b", "b", "a", "a"]
+    # a wiring equal to the last one but holding a bool is written as it
+    # reads (Circuit.add refuses it)
+    circuit.gates += [MCBitmask((0, True), 2, targets, 4), MCBitmask(controls, 2, targets, True)]
+    assert circuit_to_text(circuit) == reference_text(circuit)
+    assert circuit_to_text(circuit).endswith(
+        "gate a MCB 4 01 2 0 True 2 3\ngate a MCB True 01 2 0 1 2 3\n")
+    # a float mask equal to a written int mask is not written from the cache
+    circuit.gates.append(MCBitmask(controls, 2.0, targets, 4))
+    for write in (circuit_to_text, reference_text):
+        with pytest.raises(ValueError):
+            write(circuit)
