@@ -300,18 +300,10 @@ def _finish(instance: Instance, mode: str, circuit: Circuit, step: str) -> Built
     z, anc = regs["flags"].qubits, regs["anc"][0]
     x = tuple(q for q in range(circuit.n_qubits) if q not in z and q != anc)
     circuit.set_measurement(z, x, (anc,))
-    problem, r, d = instance.PROBLEM, instance.r, instance.d
-    built = BuiltCircuit(circuit, problem, mode, instance.n, r, d, instance.bound,
-                         denom_exponent(problem, r, d))
-    if circuit.h_layer_size + len(x) != built.denom_exponent:
-        raise AssertionError(
-            f"denominator exponent {built.denom_exponent} != Hadamards {circuit.h_layer_size} "
-            f"+ X-measured {len(x)}"
-        )
-    if circuit.n_qubits != qubit_formula(problem, r, d):
-        raise AssertionError("qubit count does not match the closed formula")
-    if circuit.h_layer_size != hadamard_count(instance):
-        raise AssertionError("Hadamard count does not match the closed formula")
+    built = BuiltCircuit(circuit, instance.PROBLEM, mode, instance.n, instance.r, instance.d,
+                         instance.bound, denom_exponent(instance.PROBLEM, instance.r, instance.d))
+    if (fault := built_fault(built)) is not None:
+        raise AssertionError(f"the built circuit's {fault} disagrees with the closed forms")
     return built
 
 
@@ -425,6 +417,33 @@ _BUILDERS = {
 
 def build_circuit(instance: Instance, mode: str = MODE_QRAM) -> BuiltCircuit:
     return family_lookup(_BUILDERS, instance)(instance, mode)
+
+
+def built_fault(built: BuiltCircuit) -> str | None:
+    """The first field of `built`, in text order, that no build gives along
+    with the fields before it, or None; d is judged with bound, which
+    follows it, and the circuit last, against the closed forms."""
+    problem, n, r, d, bound = built.problem, built.n, built.r, built.d, built.bound
+    cls = {family.PROBLEM: family for family in _BUILDERS}.get(problem)
+    # the data width from the bound; ov has no bound, as its width is the vectors'
+    width = {PROBLEM_3SUM: derive_sum_width, PROBLEM_NWT: derive_weight_width}.get(problem)
+    if cls is None or built.mode not in MODES:
+        return "problem" if cls is None else "mode"
+    if n < 1 or r != derive_index_width(n):
+        return "n" if n < 1 else "r"
+    try:
+        if not ((bound is None and d >= 1) if width is None else (
+                bound is not None and d == width(bound))):
+            return "bound"
+    except InstanceError:  # a bound its family refuses
+        return "bound"
+    if built.denom_exponent != denom_exponent(problem, r, d):
+        return "denom_exponent"
+    circuit, plan, h = built.circuit, built.circuit.measurement, cls.INDEX_REGISTERS * r
+    if plan is None or (circuit.n_qubits, circuit.h_layer_size, h + len(plan.x_qubits)) != (
+            qubit_formula(problem, r, d), h, built.denom_exponent):
+        return "circuit"
+    return None
 
 
 def hardness_time(problem: str, n_qubits: float, delta: float, *, c: float = 1.0,

@@ -146,10 +146,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         verify_instance(instance, mode, with_dense=args.dense, branch_cap=args.branch_cap)
         for mode in modes
     ]
-    print(f"generated: {_timestamp()}")
+    generated = _timestamp()
+    print(f"generated: {generated}")
     print("\n\n".join(render_report(result) for result in results))
     if args.out is not None:
-        payload = {"generated": _timestamp(),
+        payload = {"generated": generated,
                    "results": [result.to_dict() for result in results]}
         Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0 if all(result.ok for result in results) else 1
@@ -190,7 +191,7 @@ def _mutation_control_row(branch_cap: int) -> dict:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.trials < 1:  # a sweep that checks nothing cannot pass
         raise InstanceError(f"sweep --trials must be at least 1, got {args.trials}")
-    started = time.monotonic()
+    started, generated = time.monotonic(), _timestamp()
     problems = list(SWEEP_CELLS) if args.problem == "all" else [args.problem]
     tasks = []
     for problem in problems:
@@ -209,7 +210,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     control = _mutation_control_row(args.branch_cap) if args.mutation_control else None
 
-    lines = [f"generated: {_timestamp()}", f"seed: {args.seed}", f"trials: {args.trials}"]
+    lines = [f"generated: {generated}", f"seed: {args.seed}", f"trials: {args.trials}"]
     total = failed = 0
     for problem in problems:
         checks = ok_count = 0
@@ -237,7 +238,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print("\n".join(lines))
 
     if args.out is not None:
-        payload = {"generated": _timestamp(), "seed": args.seed, "trials": args.trials,
+        payload = {"generated": generated, "seed": args.seed, "trials": args.trials,
                    "rows": rows, "control": control,
                    "checks": total, "failed": failed, "wall_seconds": round(wall, 3)}
         Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")

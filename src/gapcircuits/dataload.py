@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ir import Circuit, CircuitError, MCBitmask, QramLoad, X
+from .ir import Circuit, CircuitError, MCBitmask, QramLoad, X, check_word
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class DataTable:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        check_word("table id", self.table_id)
         if self.address_width < 1 or self.data_width < 1:
             raise CircuitError("table widths must be positive")
         seen = set()
@@ -41,10 +42,10 @@ class DataTable:
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     def check_entry(self, address: int, value: int) -> None:
-        """Refuse an entry whose address or value does not fit the widths."""
-        if not 0 <= address < (1 << self.address_width):
+        """Refuse an entry that does not fit the widths; shifts, as 1 << a huge width is huge."""
+        if address < 0 or address >> self.address_width:
             raise CircuitError(f"address {address} out of range for width {self.address_width}")
-        if not 0 <= value < (1 << self.data_width):
+        if value < 0 or value >> self.data_width:
             raise CircuitError(f"value {value} does not fit in {self.data_width} bits")
 
     @classmethod

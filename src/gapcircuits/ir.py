@@ -79,11 +79,20 @@ class Register:
 _ARITY = {1: "one qubit", 2: "two qubits", 3: "three qubits"}
 
 
+def check_word(what: str, word: str) -> None:
+    """Refuse a name that circuit text cannot hold as one token."""
+    if word.split() != [word]:  # empty, or holds whitespace
+        raise CircuitError(f"{what} must be non-empty and without whitespace: {word!r}")
+
+
 def _int(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise CircuitError(f"expected integer, got {token!r}") from None
+    """A non-negative int as `str` writes it: `0|[1-9][0-9]*` in ASCII."""
+    if token.isdigit() and token.isascii() and (token[0] != "0" or token == "0"):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise CircuitError(f"expected integer, got {token!r}")
 
 
 class _Gate:
@@ -237,11 +246,9 @@ class MCBitmask(_Gate):
         if len(tokens) < 3:
             raise CircuitError("malformed MCB gate")
         ancilla, bits = _int(tokens[0]), tokens[1]
-        if bits.strip("01"):
+        if not bits or bits.strip("01"):
             raise CircuitError("mask must be a 0/1 string")
         n_controls, wires = _int(tokens[2]), [_int(t) for t in tokens[3:]]
-        if n_controls < 0:  # a negative count would slice the wires from the end
-            raise CircuitError(f"MCB control count {n_controls} is negative")
         if len(wires) != n_controls + len(bits):
             raise CircuitError("MCB wire count mismatch")
         return cls(tuple(wires[:n_controls]), int(bits[::-1], 2),
@@ -292,8 +299,6 @@ class QramLoad(_Gate):
         if len(tokens) < 3:
             raise CircuitError("malformed QRAM gate")
         n_address, tail = _int(tokens[1]), [_int(t) for t in tokens[2:]]
-        if n_address < 0:  # a negative count would index the wires from the end
-            raise CircuitError(f"QRAM address count {n_address} is negative")
         if len(tail) < n_address + 1 or len(tail[n_address + 1:]) != tail[n_address]:
             raise CircuitError("QRAM wire count mismatch")
         return cls(tuple(tail[:n_address]), tuple(tail[n_address + 1:]), tokens[0])
@@ -366,8 +371,7 @@ class Circuit:
     _step: str = field(default="", compare=False, repr=False)
 
     def begin_step(self, label: str) -> None:
-        if label.split() != [label]:  # empty, or holds whitespace
-            raise CircuitError(f"step label must be non-empty and without whitespace: {label!r}")
+        check_word("step label", label)
         self._step = label
 
     def step_runs(self) -> Iterator[tuple[str, int, int]]:
@@ -391,10 +395,8 @@ class Circuit:
 
     def add_table(self, table) -> str:
         tid = table.table_id
-        existing = self.tables.get(tid)
-        if existing is not None and existing != table:
+        if self.tables.setdefault(tid, table) != table:
             raise CircuitError(f"table id {tid!r} already registered with different contents")
-        self.tables[tid] = table
         return tid
 
     def _check_qubit(self, q: int) -> None:
@@ -503,6 +505,7 @@ def new_circuit(layout: list[tuple[str, int]] | tuple[tuple[str, int], ...]) -> 
     registers: dict[str, Register] = {}
     offset = 0
     for name, width in layout:
+        check_word("register name", name)
         if width <= 0:
             raise CircuitError(f"register {name!r} must have positive width, got {width}")
         if name in registers:

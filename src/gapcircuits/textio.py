@@ -1,60 +1,57 @@
 """Line-oriented text format for circuits, lossless in both directions.
 
-Grammar (one directive per line; `#` starts a comment; blank lines ignored):
+Grammar: the sections below in this order, one directive per line, tokens
+separated by exactly one space, every integer spelled `0|[1-9][0-9]*` as
+`str` writes a non-negative int.  Only empty lines and lines that start
+with `#` are skipped.
 
     circuit <n_qubits>
-    register <name> <offset> <width>          registers, ascending offsets
-    measure z|x|none <qubit>*                 at most one line per group
-    table <id> <address_width> <data_width>   starts a table
-    row <address> <value>                     entry of the most recent table
+    register <name> <offset> <width>          by offset, contiguous from 0
+    measure z <qubit>*                        all three measure lines, in
+    measure x <qubit>*                        this order, or none
+    measure none <qubit>*
+    table <id> <address_width> <data_width>   by ascending id, each followed
+    row <address> <value>                     by its rows by ascending address
     gate <step> H|X|Z <q>
     gate <step> CX <control> <target>
     gate <step> CCX <control1> <control2> <target>
     gate <step> MCB <ancilla> <maskbits> <n_controls> <controls...> <targets...>
     gate <step> QRAM <table_id> <n_address> <address...> <n_data> <data...>
 
-`maskbits` is the gate's int mask as a 0/1 string, one character per
-target, low bit first; qubit lists are little-endian (first qubit = low
-bit); each gate class in `ir.py` reads and writes its own operands.  Gates
-appear in execution order, each line tagged with its step span's label;
-the reader gathers neighbouring lines of one label back into one span, so
-parsing rebuilds an equal circuit.  The circuit, register, table and row
-lines precede the first gate line, so one pass over the lines checks each
-gate through `Circuit.add` as it reads it; every refusal caused by a line
-starts with `line N:`.  Explicit-mode text repeats its lines, so a gate
-line byte-identical to one already accepted appends that line's gate
-object again under its step (`Circuit.add_again` where the step changes)
-without a second parse or check; the layout is fixed by then, and H, whose
-check depends on its position, is always parsed afresh.  A flip line that
-differs from an accepted one only in maskbits of the same length takes
-that gate's wiring objects, and its mask fits by construction.  The
-writer formats a wiring once per step span and wiring objects, and
-maskbits once per exact-int mask and width.
+Names, step labels and table ids hold no whitespace.  `maskbits` is the
+gate's int mask as a 0/1 string, one character per target, low bit first;
+qubit lists are little-endian (first qubit = low bit); each gate class in
+`ir.py` reads and writes its own operands.  Gates appear in execution
+order, each line tagged with its step span's label; the reader gathers
+neighbouring lines of one label back into one span.  So text that the
+reader accepts is written back line for line, skipped lines aside.
+Each gate is checked through `Circuit.add` as it is read; every refusal
+starts with `line N:`.  Explicit-mode text repeats its lines, so the
+reader parses a repeated gate line, H aside, once, and reuses an
+accepted flip's wiring for a line that differs from it only in maskbits.
 
 A built circuit puts one `<key> <value>` line per row of `_HEADER` in front
-of the same body; they are read only before the first other directive.
+of the same body; the reader refuses a header that no build writes with
+that body (`builders.built_fault`).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain, repeat
 
-from .builders import BuiltCircuit
+from .builders import BuiltCircuit, built_fault
 from .dataload import DataTable
 from .ir import (GATES, VOCABULARY, _WIRED, Circuit, CircuitError, X, _int, maskbits,
                  new_circuit)
 
 
-def _optional_int(token: str) -> int | None:
-    return None if token == "-" else _int(token)
-
-
-# The built-circuit header in file order: key, BuiltCircuit field, value
-# parser.  A bound of None is written `-`.
+# The built-circuit header in file order: key, BuiltCircuit field, parser (bound None is `-`).
 _HEADER = (("problem", "problem", str), ("mode", "mode", str), ("n", "n", _int),
            ("index_width", "r", _int), ("data_width", "d", _int),
-           ("bound", "bound", _optional_int), ("exponent", "denom_exponent", _int))
-_HEADER_KEYS = {key: (name, parse) for key, name, parse in _HEADER}
+           ("bound", "bound", lambda token: None if token == "-" else _int(token)),
+           ("exponent", "denom_exponent", _int))
+_GROUPS = ("z", "x", "none")  # the measure lines in file order
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -63,14 +60,11 @@ def circuit_to_text(circuit: Circuit) -> str:
         lines.append(f"register {reg.name} {reg.offset} {reg.width}")
     plan = circuit.measurement
     if plan is not None:
-        lines.append(" ".join(["measure", "z", *map(str, plan.z_qubits)]))
-        lines.append(" ".join(["measure", "x", *map(str, plan.x_qubits)]))
-        lines.append(" ".join(["measure", "none", *map(str, plan.unmeasured)]))
-    for tid in sorted(circuit.tables):
-        table = circuit.tables[tid]
+        for group, qubits in zip(_GROUPS, (plan.z_qubits, plan.x_qubits, plan.unmeasured)):
+            lines.append(" ".join(["measure", group, *map(str, qubits)]))
+    for tid, table in sorted(circuit.tables.items()):  # ids differ, so tables are not compared
         lines.append(f"table {tid} {table.address_width} {table.data_width}")
-        for address, value in table.entries:
-            lines.append(f"row {address} {value}")
+        lines += [f"row {address} {value}" for address, value in table.entries]
     append = lines.append
     gates = circuit.gates
     masks: dict[tuple[int, int], str] = {}  # exact-int (mask, width) -> its maskbits
@@ -104,41 +98,75 @@ def circuit_to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _layout(n_qubits: int | None, layout: list[tuple[str, int]], offsets: list[int],
-            tables: list[tuple[DataTable, dict[int, int]]]) -> Circuit:
-    """The circuit that the circuit, register, table and row lines declare."""
-    if n_qubits is None:
-        raise CircuitError("missing circuit line")
-    circuit = new_circuit(layout)
-    if circuit.n_qubits != n_qubits:
-        raise CircuitError(f"registers cover {circuit.n_qubits} qubits, header says {n_qubits}")
-    for (name, _), offset in zip(layout, offsets):
-        if circuit.registers[name].offset != offset:
-            raise CircuitError(f"register {name!r} offset {offset} is not contiguous")
-    for table, rows in tables:
-        circuit.add_table(replace(table, entries=tuple(rows.items())))
-    return circuit
-
-
-def _parse(text: str, header: dict | None) -> Circuit:
-    """Read circuit text in one pass over its lines.
-
-    With a `header` dict, the built-circuit header lines that precede the
-    first other directive are read into it, keyed by BuiltCircuit field.
-    """
-    keys = _HEADER_KEYS if header is not None else {}
-    n_qubits = circuit = step = rows = None
-    layout: list[tuple[str, int]] = []
-    offsets: list[int] = []
-    measure: dict[str, tuple[int, ...]] = {}
-    tables: list[tuple[DataTable, dict[int, int]]] = []
-    accepted: dict[str, tuple] = {}  # accepted gate line, H aside -> (gate, step)
-    # An accepted flip line's space-split fields, its maskbits replaced by
-    # their length -> (gate, step).
-    wirings: dict[tuple, tuple] = {}
-    lineno = 0
+def _parse(text: str, built: bool) -> Circuit | BuiltCircuit:
+    """Read circuit text section by section, in the writer's order; with
+    `built`, the built-circuit header first."""
+    lines = text.split("\n")
+    numbered = enumerate(lines, start=1)
+    # The lines before the first gate as tokens, skipped lines aside, then
+    # an empty line after the last one for good; the gate loop reads on
+    # from `numbered` itself.
+    directives = chain(((lineno, raw.split(" ")) for lineno, raw in numbered
+                        if raw and raw[0] != "#"), repeat((len(lines), [""])))
+    header, line_of = {}, {}  # field -> value; field, or "circuit" -> its line number
+    lineno, words = next(directives)
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for key, name, parse in _HEADER if built else ():
+            if words[0] != key or len(words) != 2:
+                raise CircuitError(f"expected the built-circuit header line {key!r}")
+            header[name], line_of[name] = parse(words[1]), lineno
+            lineno, words = next(directives)
+        if words[0] != "circuit" or len(words) != 2:
+            raise CircuitError("expected the circuit line")
+        n_qubits, line_of["circuit"] = _int(words[1]), lineno
+        registers = []  # (name, offset, width) by offset
+        for lineno, words in directives:
+            if words[0] != "register":
+                break
+            if len(words) != 4:
+                raise CircuitError("register needs name, offset, width")
+            registers.append((words[1], _int(words[2]), _int(words[3])))
+        circuit = new_circuit([(name, width) for name, _, width in registers])
+        if circuit.n_qubits != n_qubits:
+            raise CircuitError(f"registers cover {circuit.n_qubits} qubits, header says {n_qubits}")
+        if [offset for _, offset, _ in registers] != [r.offset for r in circuit.registers.values()]:
+            raise CircuitError("register offsets are not contiguous from 0")
+        if words[0] == "measure":  # all three groups, or none
+            groups = []
+            for group in _GROUPS:
+                if words[:2] != ["measure", group]:
+                    raise CircuitError(f"expected the measure {group} line")
+                groups.append(tuple(map(_int, words[2:])))
+                if group == "none":
+                    circuit.set_measurement(*groups)
+                lineno, words = next(directives)
+        previous = ""  # the last table id; ids are non-empty and ascend
+        while words[0] == "table":
+            if len(words) != 4:
+                raise CircuitError("table needs id and two widths")
+            if words[1] <= previous:
+                raise CircuitError(f"table {words[1]!r} does not follow table {previous!r}")
+            table = DataTable(words[1], _int(words[2]), _int(words[3]), ())
+            previous, entries, last = table.table_id, [], -1
+            for lineno, words in directives:
+                if words[0] != "row":
+                    break
+                if len(words) != 3:
+                    raise CircuitError("row needs address and value")
+                address, value = _int(words[1]), _int(words[2])
+                if address <= last:  # addresses ascend, so none repeats
+                    raise CircuitError(f"address {address} does not follow address {last}")
+                table.check_entry(address, value)
+                entries.append((address, value))
+                last = address
+            circuit.add_table(replace(table, entries=tuple(entries)))
+        append_gate = circuit.gates.append
+        step = None
+        accepted: dict[str, tuple] = {}  # accepted gate line, H aside -> (gate, step)
+        # An accepted flip line's space-split fields, its maskbits replaced by
+        # their length -> (gate, step).
+        wirings: dict[tuple, tuple] = {}
+        for lineno, raw in chain(((lineno, " ".join(words)),), numbered):
             known = accepted.get(raw)
             if known is None:
                 fields = raw.split(" ", 5)
@@ -158,80 +186,35 @@ def _parse(text: str, header: dict | None) -> Circuit:
                     circuit.add_again(gate, label)
                     step = label
                 continue
-            tokens = raw.split("#", 1)[0].split()
-            if not tokens:  # blanks and comments never end the header block
+            if not raw or raw[0] == "#":
                 continue
-            word = tokens[0]
-            if keys:
-                if word in keys:
-                    name, parse = keys[word]
-                    if len(tokens) != 2 or name in header:
-                        raise CircuitError(f"malformed built-circuit header line {raw!r}")
-                    header[name] = parse(tokens[1])
-                    continue
-                keys = {}
-            if word == "gate":
-                if len(tokens) < 4:
-                    raise CircuitError("malformed gate line")
-                if circuit is None:
-                    circuit, rows = _layout(n_qubits, layout, offsets, tables), None
-                    append_gate = circuit.gates.append
-                cls = GATES.get(tokens[2])
-                if cls is None:
-                    raise CircuitError(f"unknown gate kind {tokens[2]!r}")
-                if tokens[1] != step:
-                    step = tokens[1]
-                    circuit.begin_step(step)
-                gate = cls.from_tokens(tokens[3:])
-                circuit.add(gate)
-                if not gate.LEADING:
-                    accepted[raw] = (gate, step)
-                    if cls in _WIRED and [*fields[:4], bits] == tokens[:5]:
-                        wirings[wiring] = (gate, step)
-            elif circuit is not None and word in ("register", "table"):
-                raise CircuitError(f"{word} line after the first gate line")
-            elif word == "circuit":
-                if n_qubits is not None or len(tokens) != 2:
-                    raise CircuitError("malformed or repeated circuit line")
-                n_qubits = _int(tokens[1])
-            elif word == "register":
-                if len(tokens) != 4:
-                    raise CircuitError("register needs name, offset, width")
-                layout.append((tokens[1], _int(tokens[3])))
-                offsets.append(_int(tokens[2]))
-            elif word == "measure":
-                if len(tokens) < 2 or tokens[1] not in ("z", "x", "none"):
-                    raise CircuitError("measure needs group z, x, or none")
-                if tokens[1] in measure:
-                    raise CircuitError(f"repeated measure group {tokens[1]!r}")
-                measure[tokens[1]] = tuple(map(_int, tokens[2:]))
-            elif word == "table":
-                if len(tokens) != 4:
-                    raise CircuitError("table needs id and two widths")
-                table, rows = DataTable(tokens[1], _int(tokens[2]), _int(tokens[3]), ()), {}
-                tables.append((table, rows))
-            elif word == "row":
-                if rows is None or len(tokens) != 3:
-                    raise CircuitError("row outside a table or malformed")
-                address, value = _int(tokens[1]), _int(tokens[2])
-                table.check_entry(address, value)
-                if address in rows:
-                    raise CircuitError(f"duplicate address {address}")
-                rows[address] = value
-            else:
-                raise CircuitError(f"unknown directive {word!r}")
+            tokens = raw.split(" ")
+            if tokens[0] != "gate" or len(tokens) < 4:
+                raise CircuitError(f"expected a gate line, got {raw!r}")
+            cls = GATES.get(tokens[2])
+            if cls is None:
+                raise CircuitError(f"unknown gate kind {tokens[2]!r}")
+            if tokens[1] != step:
+                step = tokens[1]
+                circuit.begin_step(step)
+            gate = cls.from_tokens(tokens[3:])
+            circuit.add(gate)
+            if not gate.LEADING:
+                accepted[raw] = (gate, step)
+                if cls in _WIRED:  # its maskbits are tokens[4], so `wiring` is its own
+                    wirings[wiring] = (gate, step)
+        result = BuiltCircuit(circuit, **header) if built else circuit
+        if built and (fault := built_fault(result)) is not None:
+            lineno = line_of[fault]
+            raise CircuitError(f"no build writes {lines[lineno - 1]!r} with this header and body")
+        return result
     except CircuitError as err:
         raise CircuitError(f"line {lineno}: {err}") from None
-    if circuit is None:
-        circuit = _layout(n_qubits, layout, offsets, tables)
-    if measure:
-        circuit.set_measurement(measure.get("z", ()), measure.get("x", ()), measure.get("none", ()))
-    return circuit
 
 
 def circuit_from_text(text: str) -> Circuit:
     """Parse the format written by circuit_to_text; raises CircuitError on any deviation."""
-    return _parse(text, None)
+    return _parse(text, False)
 
 
 def built_to_text(built: BuiltCircuit) -> str:
@@ -243,13 +226,5 @@ def built_to_text(built: BuiltCircuit) -> str:
 
 
 def built_from_text(text: str) -> BuiltCircuit:
-    header: dict = {}
-    circuit = _parse(text, header)
-    missing = [key for key, name, _ in _HEADER if name not in header]
-    if missing:
-        raise CircuitError(f"built-circuit header is missing {missing}")
-    built = BuiltCircuit(circuit, **header)
-    plan = circuit.measurement
-    if plan is None or built.denom_exponent != circuit.h_layer_size + len(plan.x_qubits):
-        raise CircuitError("built-circuit header is inconsistent with the circuit body")
-    return built
+    """Parse the format written by built_to_text, header checked by built_fault."""
+    return _parse(text, True)

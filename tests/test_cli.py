@@ -164,9 +164,40 @@ def test_simulate_malformed_header_integer_exits_2(tmp_path, capsys):
     assert "error: line 3: expected integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,line", [
+    ("problem ov", "problem banana", 1), ("mode qram", "mode fast", 2),
+    ("n 3", "n 7", 4), ("index_width 2", "index_width 9", 4), ("data_width 2", "data_width 0", 6),
+])
+def test_simulate_refuses_a_header_that_no_build_writes(tmp_path, capsys, old, new, line):
+    inst, circ = tmp_path / "inst.json", tmp_path / "circ.txt"
+    main(["gen", "ov", "-n", "3", "-d", "2", "--seed", "0", "--out", str(inst)])
+    main(["build", str(inst), "--out", str(circ)])
+    text = circ.read_text()
+    assert f"\n{old}\n" in f"\n{text}"
+    circ.write_text(f"\n{text}".replace(f"\n{old}\n", f"\n{new}\n", 1)[1:])
+    capsys.readouterr()
+    assert main(["simulate", str(circ)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {line}: no build writes ")
+
+
+def test_one_timestamp_per_run(tmp_path, monkeypatch, capsys):
+    # a clock that moves on every call: the text and the JSON must still agree
+    stamps = (f"2026-01-01T00:00:{second:02d}+00:00" for second in range(60))
+    monkeypatch.setattr(cli, "_timestamp", lambda: next(stamps))
+    inst, out = tmp_path / "inst.json", tmp_path / "report.json"
+    main(["gen", "ov", "-n", "2", "-d", "1", "--seed", "0", "--out", str(inst)])
+    for argv in (["verify", str(inst)], ["sweep", "--problem", "ov", "--trials", "1"]):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"generated: {json.loads(out.read_text())['generated']}"
+
+
 @pytest.mark.parametrize("line,message", [
-    ("gate 6 MCB 9 100 -1 3 4", "MCB control count -1 is negative"),
-    ("gate 6 QRAM u -2 3 1 5", "QRAM address count -2 is negative"),
+    ("gate 6 MCB 9 100 -1 3 4", "expected integer, got '-1'"),
+    ("gate 6 QRAM u -2 3 1 5", "expected integer, got '-2'"),
 ])
 def test_simulate_negative_operand_count_exits_2(tmp_path, capsys, line, message):
     inst, circ = tmp_path / "inst.json", tmp_path / "circ.txt"

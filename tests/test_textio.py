@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from gapcircuits.builders import MODE_EXPLICIT, MODE_QRAM, build_circuit
 from gapcircuits.cli import SWEEP_CELLS
+from gapcircuits.dataload import DataTable
 from gapcircuits.instancefile import generate, generate_nwt, generate_ov, generate_threesum
 from gapcircuits.ir import CX, CircuitError, H, MCBitmask, X, Z, new_circuit
 from gapcircuits.simulator import simulate_pathsum
@@ -92,18 +95,21 @@ def test_bound_header_dash_means_none():
     ("circuit 1\nregister a 0 1\ngate 1 FROB 0\n", "unknown gate"),
     ("circuit 1\nregister a 0 1\ngate 1 X 0 0\n", "x takes one qubit"),
     ("circuit 2\nregister a 0 2\ngate 1 CX 0 0\n", "must differ"),
-    ("circuit 2\nregister a 0 2\nmeasure z 0\nmeasure z 1\n", "repeated measure"),
+    # the measure lines are z, x, none in that order, so a repeat is out of place
+    ("circuit 2\nregister a 0 2\nmeasure z 0\nmeasure z 1\n", "line 4: expected the measure x line"),
     ("circuit 2\nregister a 0 2\ngate 1 QRAM t 1 0 1 1\n", "unregistered table"),
     # refusals from Circuit.add and from tables name their line too
     ("circuit 2\nregister a 0 2\ngate 1 X 9\n", "line 3: qubit index 9 out of range"),
     ("circuit 2\nregister a 0 2\ngate 1 X 0\ngate 1 H 1\n", "line 4: h gates are only allowed"),
     ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 0 1\nrow 5 0\n", "line 5: address 5 out of range"),
-    ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 1 1\n\nrow 1 0\n", "line 6: duplicate address"),
+    # addresses ascend strictly, which rules out a repeated one
+    ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 1 1\n\nrow 1 0\n",
+     "line 6: address 1 does not follow address 1"),
     ("circuit 2\nregister a 0 2\ntable t 1 1\nrow 0 2\n", "line 4: value 2 does not fit in 1 bits"),
-    ("circuit 2\nregister a 0 2\ntable t 1 1\nrow -1 0\n",
-     "line 4: address -1 out of range for width 1"),
+    ("circuit 2\nregister a 0 2\ntable t 1 1\nrow -1 0\n", "line 4: expected integer, got '-1'"),
     ("circuit 2\nregister a 0 2\ntable t 0 1\n", "line 3: table widths must be positive"),
-    ("circuit 2\nregister a 0 2\ngate 1 X 0\nregister b 2 1\n", "line 4: register line after"),
+    ("circuit 2\nregister a 0 2\ngate 1 X 0\nregister b 2 1\n",
+     "line 4: expected a gate line, got 'register b 2 1'"),
     # a late H is refused even when its line repeats an accepted leading one
     ("circuit 2\nregister a 0 2\ngate 1 H 0\ngate 1 X 1\ngate 1 H 0\n",
      "line 5: h gates are only allowed in the leading layer"),
@@ -116,9 +122,9 @@ def test_malformed_text_rejected(bad, fragment):
 
 @pytest.mark.parametrize("line,message", [
     # accepted once as MCBitmask((3,), 1, (4,), 5) and written back as "5 1 1 3 4"
-    ("gate s MCB 5 100 -1 3 4", "MCB control count -1 is negative"),
+    ("gate s MCB 5 100 -1 3 4", "expected integer, got '-1'"),
     # accepted once with address (3, 4) and data (5,)
-    ("gate s QRAM t -2 3 4 1 5", "QRAM address count -2 is negative"),
+    ("gate s QRAM t -2 3 4 1 5", "expected integer, got '-2'"),
 ])
 def test_negative_operand_counts_rejected(line, message):
     text = f"circuit 6\nregister q 0 6\ntable t 2 1\nrow 0 1\n{line}\n"
@@ -161,10 +167,10 @@ def test_built_header_read_only_before_the_body():
     moved = header.replace("mode qram\n", "") + "circuit " + body + "mode qram\n"
     with pytest.raises(CircuitError) as err:
         built_from_text(moved)
-    assert "unknown directive 'mode'" in str(err.value)
+    assert str(err.value) == "line 2: expected the built-circuit header line 'mode'"
     with pytest.raises(CircuitError) as err:
         built_from_text(text.replace("mode qram\n", "mode qram\nmode qram\n"))
-    assert str(err.value).startswith("line 3: malformed built-circuit header line")
+    assert str(err.value) == "line 3: expected the built-circuit header line 'n'"
 
 
 # --- a repeated gate line is parsed once --------------------------------------
@@ -221,7 +227,6 @@ def _flip_lines(*lines):
     ("gate t MCB 5 10 2 0 1 2 3", "t", MCBitmask((0, 1), 1, (2, 3), 5)),
     ("gate s MCB 4 10 2 0 1 2 3", "s", MCBitmask((0, 1), 1, (2, 3), 4)),
     ("gate s MCB 5 10 2 0 1 3 2", "s", MCBitmask((0, 1), 1, (3, 2), 5)),
-    ("gate s MCB 5 10 2 0 1 2 3 # note", "s", MCBitmask((0, 1), 1, (2, 3), 5)),
     ("gate s MCB 5 101 1 0 1 2 3", "s", MCBitmask((0,), 5, (1, 2, 3), 5)),
 ])
 def test_flip_line_reuses_wiring_only_when_just_its_maskbits_differ(line, step, gate):
@@ -240,9 +245,12 @@ def test_flip_line_reuses_wiring_only_when_just_its_maskbits_differ(line, step, 
     ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 011 2 0 1 2 3", "MCB wire count mismatch"),
     ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 1 2 0 1 2 3", "MCB wire count mismatch"),
     ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 0x 2 0 1 2 3", "mask must be a 0/1 string"),
-    ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 1# 2 0 1 2 3", "malformed MCB gate"),
-    # read as maskbits 0 over one target: the space-split field 0\t1 is no maskbits
-    ("gate s MCB 5 0\t1 3 4", "gate s MCB 5 011 3 4", "MCB wire count mismatch"),
+    ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 1# 2 0 1 2 3", "mask must be a 0/1 string"),
+    # an inline comment is no longer cut off
+    ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 10 2 0 1 2 3 # note",
+     "expected integer, got '#'"),
+    # a tab is no separator, so 0\t1 is no maskbits
+    ("gate s MCB 5 01 2 0 1 2 3", "gate s MCB 5 0\t1 3 4", "mask must be a 0/1 string"),
 ])
 def test_flip_line_after_an_accepted_one_is_checked(first, line, message):
     assert circuit_from_text(_flip_lines(first)).gates
@@ -330,3 +338,194 @@ def test_flip_wiring_is_written_with_its_own_step():
     for write in (circuit_to_text, reference_text):
         with pytest.raises(ValueError):
             write(circuit)
+
+
+# --- the reader accepts only what the writer writes ----------------------------
+
+_SMALL = ("circuit 3\nregister a 0 2\nregister b 2 1\nmeasure z 2\nmeasure x 0 1\nmeasure none\n"
+          "table t 1 1\nrow 0 1\nrow 1 0\ngate 1 H 0\ngate 2 QRAM t 1 0 1 2\ngate 2 MCB 1 1 1 0 2\n")
+
+
+def test_small_text_is_a_fixed_point():
+    assert circuit_to_text(circuit_from_text(_SMALL)) == _SMALL
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("circuit 3", "circuit +3", "line 1: expected integer, got '+3'"),
+    ("register b 2 1", "register b 02 1", "line 3: expected integer, got '02'"),
+    ("circuit 3", "circuit 0_3", "line 1: expected integer, got '0_3'"),
+    ("gate 1 H 0", "gate 1 H -0", "line 10: expected integer, got '-0'"),
+    ("gate 1 H 0", "gate 1 H ０", "line 10: expected integer, got '０'"),
+    ("register b 2 1", "register b ٢ 1", "line 3: expected integer, got '٢'"),
+    ("gate 1 H 0", "gate 1 H\t0", "line 10: expected a gate line, got 'gate 1 H\\t0'"),
+    ("gate 1 H 0", "gate 1 H  0", "line 10: H takes one qubit"),
+    ("gate 1 H 0", "gate 1 H 0 # note", "line 10: H takes one qubit"),
+    ("row 0 1", "row 0 1#", "line 8: expected integer, got '1#'"),
+    ("gate 1 H 0", "gate  ０  H  0", "line 10: unknown gate kind '０'"),
+    ("gate 1 H 0", "gate\t 1 H 0", "line 10: expected a gate line, got 'gate\\t 1 H 0'"),
+    ("gate 1 H 0", "gate 1 H ٣", "line 10: expected integer, got '٣'"),
+    pytest.param("circuit 3", "circuit " + "9" * 5000,
+                 f"line 1: expected integer, got '{'9' * 5000}'", id="more-digits-than-int-reads"),
+    ("gate 2 MCB 1 1 1 0 2", "gate 2 MCB 1 1 1 0\t2", "line 12: expected integer, got '0\\t2'"),
+    ("gate 2 MCB 1 1 1 0 2", "gate 2 MCB 1  1 1 0 2", "line 12: mask must be a 0/1 string"),
+    ("gate 1 H 0\n", "gate 1 H 0\n   \n", "line 11: expected a gate line, got '   '"),
+    ("register b 2 1\n", "register b 2 1\n \n", "line 4: expected a gate line, got ' '"),
+    ("gate 1 H 0", " gate 1 H 0", "line 10: expected a gate line, got ' gate 1 H 0'"),
+    ("circuit 3\nregister a 0 2", "register a 0 2\ncircuit 3", "line 1: expected the circuit line"),
+    ("\n", "\x85", "line 1: expected the circuit line"),
+    ("register a 0 2\nregister b 2 1", "register b 2 1\nregister a 0 2",
+     "line 4: register offsets are not contiguous from 0"),
+    ("measure z 2\nmeasure x 0 1", "measure x 0 1\nmeasure z 2",
+     "line 4: expected the measure z line"),
+    ("measure none\n", "", "line 6: expected the measure none line"),
+    ("row 0 1\nrow 1 0", "row 1 0\nrow 0 1", "line 9: address 0 does not follow address 1"),
+    ("row 1 0\n", "row 1 0\ntable t 1 1\n", "line 10: table 't' does not follow table 't'"),
+    ("table t 1 1\n", "table u 1 1\ntable t 1 1\n", "line 8: table 't' does not follow table 'u'"),
+    ("measure z 2\nmeasure x 0 1\nmeasure none\ntable t 1 1\nrow 0 1\nrow 1 0\n",
+     "table t 1 1\nrow 0 1\nrow 1 0\nmeasure z 2\nmeasure x 0 1\nmeasure none\n",
+     "line 7: expected a gate line, got 'measure z 2'"),
+    ("gate 1 H 0\n", "gate 1 H 0\nrow 1 1\n", "line 11: expected a gate line, got 'row 1 1'"),
+])
+def test_refused_spellings(old, new, message):
+    assert old in _SMALL
+    with pytest.raises(CircuitError) as err:
+        circuit_from_text(_SMALL.replace(old, new, 1))
+    assert str(err.value) == message
+
+
+_OV_TEXT = built_to_text(build_circuit(generate_ov(3, 2, seed=1), MODE_QRAM))
+
+
+@pytest.mark.parametrize("read,text,message", [
+    (circuit_from_text, _SMALL, "line 1: expected integer, got '3\\r'"),
+    (built_from_text, _OV_TEXT, "line 3: expected integer, got '3\\r'"),
+])
+def test_crlf_line_ends_are_refused(read, text, message):
+    with pytest.raises(CircuitError) as err:
+        read(text.replace("\n", "\r\n"))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("old,new,message", [
+    # the header lines come first, in _HEADER order, spelled as written
+    ("problem ov\nmode qram\n", "mode qram\nproblem ov\n",
+     "line 1: expected the built-circuit header line 'problem'"),
+    ("n 3\n", "n 03\n", "line 3: expected integer, got '03'"),
+    ("index_width 2\n", "index_width ٢\n", "line 4: expected integer, got '٢'"),
+    ("bound -\n", "bound  -\n", "line 6: expected the built-circuit header line 'bound'"),
+    # each value must be one that a build writes with the lines before it
+    ("problem ov\n", "problem banana\n", "line 1: no build writes 'problem banana' with this "
+     "header and body"),
+    ("mode qram\n", "mode fast\n", "line 2: no build writes 'mode fast' with this header and "
+     "body"),
+    ("n 3\n", "n 0\n", "line 3: no build writes 'n 0' with this header and body"),
+    ("n 3\n", "n 7\n", "line 4: no build writes 'index_width 2' with this header and body"),
+    ("index_width 2\n", "index_width 9\n", "line 4: no build writes 'index_width 9' with this "
+     "header and body"),
+    ("data_width 2\n", "data_width 0\n", "line 6: no build writes 'bound -' with this header "
+     "and body"),
+    ("bound -\n", "bound 3\n", "line 6: no build writes 'bound 3' with this header and body"),
+    ("exponent 17\n", "exponent 18\n", "line 7: no build writes 'exponent 18' with this header "
+     "and body"),
+    ("data_width 2\n", "data_width 3\n", "line 7: no build writes 'exponent 17' with this "
+     "header and body"),
+    # the body must have the closed forms' qubits, Hadamards and X-measured qubits
+    ("gate 1 H 3\n", "", "line 8: no build writes 'circuit 16' with this header and body"),
+])
+def test_built_header_must_fit_its_body(old, new, message):
+    assert old in _OV_TEXT
+    with pytest.raises(CircuitError) as err:
+        built_from_text(_OV_TEXT.replace(old, new, 1))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("problem,bad", [
+    ("3sum", "bound 0"), ("3sum", "bound -"), ("3sum", "bound 9"), ("nwt", "bound -"),
+    ("nwt", "bound 8"),
+])
+def test_built_header_data_width_must_fit_the_bound(problem, bad):
+    instance = generate(problem, 1, n=3, bound=4 if problem == "3sum" else 1)
+    lines = built_to_text(build_circuit(instance, MODE_QRAM)).split("\n")
+    assert lines[5].startswith("bound ")
+    lines[5] = bad
+    with pytest.raises(CircuitError) as err:
+        built_from_text("\n".join(lines))
+    assert str(err.value) == f"line 6: no build writes {bad!r} with this header and body"
+
+
+@pytest.mark.parametrize("name", ["a b", "", "a\tb", "a\n"])
+def test_names_the_text_carries_must_be_writable(name):
+    with pytest.raises(CircuitError, match="register name must be non-empty and without "
+                                           "whitespace"):
+        new_circuit([(name, 1)])
+    with pytest.raises(CircuitError, match="table id must be non-empty and without whitespace"):
+        DataTable(name, 1, 1, ())
+    circuit = new_circuit([("q#1", 1)])  # any other name is written and read back
+    circuit.add_table(DataTable("#t", 1, 1, ((0, 1),)))
+    assert circuit_from_text(circuit_to_text(circuit)) == circuit
+
+
+# A seeded mutation fuzzer: token edits, and line swaps, deletions and
+# duplications, applied to the build text of every sweep shape in both modes.
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_TOKEN_EDITS = (
+    lambda token: "+" + token, lambda token: "0" + token,
+    lambda token: token[:1] + "_" + token[1:], lambda token: "-" + token,
+    lambda token: token.translate(_FULLWIDTH), lambda token: token.translate(_ARABIC_INDIC),
+    lambda token: "#" + token, lambda token: token + " # note",
+)
+
+
+_MUTANTS = 200  # per text
+
+
+def _mutate(rng, lines):
+    lines = list(lines)
+    first_gate = next(i for i, line in enumerate(lines) if line.startswith("gate "))
+    for _ in range(rng.choice((1, 1, 2))):
+        # half the edits fall on the header and sections before the gates
+        i = rng.randrange(first_gate + 1 if rng.random() < 0.5 else len(lines) - 1)
+        kind = rng.randrange(len(_TOKEN_EDITS) + 5)
+        if kind < len(_TOKEN_EDITS) + 2:  # a token edit, or a tab or two spaces before it
+            tokens = lines[i].split(" ")
+            j = rng.randrange(len(tokens))
+            if kind < len(_TOKEN_EDITS):
+                tokens[j] = _TOKEN_EDITS[kind](tokens[j])
+                lines[i] = " ".join(tokens)
+            else:
+                separator = "\t" if kind == len(_TOKEN_EDITS) else "  "
+                lines[i] = " ".join(tokens[:j]) + separator + " ".join(tokens[j:])
+        elif kind == len(_TOKEN_EDITS) + 2:
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif kind == len(_TOKEN_EDITS) + 3:
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
+def _kept(text):
+    """The lines the reader does not skip."""
+    return [line for line in text.split("\n") if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
+@pytest.mark.parametrize("problem,params", [
+    (problem, params) for problem, cells in SWEEP_CELLS.items() for params in cells])
+def test_mutated_text_is_refused_or_read_back_the_same(problem, params, mode):
+    instance = generate(problem, 3, n=params["n"], d=params.get("d"), bound=params.get("bound"))
+    lines = built_to_text(build_circuit(instance, mode)).split("\n")
+    rng = random.Random(f"{problem} {sorted(params.items())} {mode}")
+    faults = []
+    for _ in range(_MUTANTS):
+        text = _mutate(rng, lines)
+        try:
+            back = built_to_text(built_from_text(text))
+        except CircuitError as err:
+            if not re.match(r"line \d+: ", str(err)):
+                faults.append(f"refused without a line number: {err}")
+        else:
+            if _kept(back) != _kept(text):
+                faults.append(f"accepted but not read back the same: {text[:60]!r}")
+    assert not faults, f"{len(faults)} of {_MUTANTS} mutants: {faults[:3]}"
