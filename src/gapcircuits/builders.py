@@ -421,16 +421,28 @@ def build_circuit(instance: Instance, mode: str = MODE_QRAM) -> BuiltCircuit:
 
 def built_fault(built: BuiltCircuit) -> str | None:
     """The first field of `built`, in text order, that no build gives along
-    with the fields before it, or None; d is judged with bound, which
-    follows it, and the circuit last, against the closed forms."""
+    with the fields before it, or None.  The mode is judged with the body's
+    tables (qram loads register them, explicit loaders never do), n with
+    the X gates that step 1 puts on nmax after the Hadamards, d with bound,
+    which follows it, and the circuit last, against the closed forms."""
     problem, n, r, d, bound = built.problem, built.n, built.r, built.d, built.bound
+    circuit = built.circuit
     cls = {family.PROBLEM: family for family in _BUILDERS}.get(problem)
     # the data width from the bound; ov has no bound, as its width is the vectors'
     width = {PROBLEM_3SUM: derive_sum_width, PROBLEM_NWT: derive_weight_width}.get(problem)
-    if cls is None or built.mode not in MODES:
-        return "problem" if cls is None else "mode"
+    if cls is None:
+        return "problem"
+    if built.mode not in MODES or (built.mode == MODE_QRAM) != bool(circuit.tables):
+        return "mode"
     if n < 1 or r != derive_index_width(n):
         return "n" if n < 1 else "r"
+    # step 1 ends with n-1 written into nmax, the r qubits after the h index qubits
+    h = cls.INDEX_REGISTERS * r
+    loads = [X(h + t) for t in range(r) if (n - 1) >> t & 1]
+    first, starts = circuit.h_layer_size, circuit.step_starts
+    stop = starts[1][1] if len(starts) > 1 else len(circuit.gates)
+    if stop != first + len(loads) or circuit.gates[first:stop] != loads:
+        return "n"
     try:
         if not ((bound is None and d >= 1) if width is None else (
                 bound is not None and d == width(bound))):
@@ -439,7 +451,7 @@ def built_fault(built: BuiltCircuit) -> str | None:
         return "bound"
     if built.denom_exponent != denom_exponent(problem, r, d):
         return "denom_exponent"
-    circuit, plan, h = built.circuit, built.circuit.measurement, cls.INDEX_REGISTERS * r
+    plan = circuit.measurement
     if plan is None or (circuit.n_qubits, circuit.h_layer_size, h + len(plan.x_qubits)) != (
             qubit_formula(problem, r, d), h, built.denom_exponent):
         return "circuit"

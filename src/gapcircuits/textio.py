@@ -25,10 +25,11 @@ qubit lists are little-endian (first qubit = low bit); each gate class in
 order, each line tagged with its step span's label; the reader gathers
 neighbouring lines of one label back into one span.  So text that the
 reader accepts is written back line for line, skipped lines aside.
-Each gate is checked through `Circuit.add` as it is read; every refusal
-starts with `line N:`.  Explicit-mode text repeats its lines, so the
-reader parses a repeated gate line, H aside, once, and reuses an
-accepted flip's wiring for a line that differs from it only in maskbits.
+Each register line, and each gate through `Circuit.add`, is checked as
+it is read; every refusal starts with `line N:`.  Explicit-mode text
+repeats its lines, so the reader parses a repeated gate line, H aside,
+once, and reuses an accepted flip's wiring for a line that differs from
+it only in maskbits.
 
 A built circuit puts one `<key> <value>` line per row of `_HEADER` in front
 of the same body; the reader refuses a header that no build writes with
@@ -119,18 +120,25 @@ def _parse(text: str, built: bool) -> Circuit | BuiltCircuit:
         if words[0] != "circuit" or len(words) != 2:
             raise CircuitError("expected the circuit line")
         n_qubits, line_of["circuit"] = _int(words[1]), lineno
-        registers = []  # (name, offset, width) by offset
+        layout: dict[str, int] = {}  # name -> width, by offset
+        covered = 0  # the widths so far, so the next register's offset
         for lineno, words in directives:
             if words[0] != "register":
                 break
             if len(words) != 4:
                 raise CircuitError("register needs name, offset, width")
-            registers.append((words[1], _int(words[2]), _int(words[3])))
-        circuit = new_circuit([(name, width) for name, _, width in registers])
-        if circuit.n_qubits != n_qubits:
-            raise CircuitError(f"registers cover {circuit.n_qubits} qubits, header says {n_qubits}")
-        if [offset for _, offset, _ in registers] != [r.offset for r in circuit.registers.values()]:
-            raise CircuitError("register offsets are not contiguous from 0")
+            name, offset, width = words[1], _int(words[2]), _int(words[3])
+            new_circuit([(name, width)])  # new_circuit's refusals of this name and width
+            if name in layout:
+                raise CircuitError(f"duplicate register name {name!r}")
+            if offset != covered:
+                raise CircuitError(f"register {name!r} must start at offset {covered}, got {offset}")
+            layout[name] = width
+            covered += width
+        if covered != n_qubits:
+            lineno = line_of["circuit"]
+            raise CircuitError(f"registers cover {covered} qubits, header says {n_qubits}")
+        circuit = new_circuit(list(layout.items()))
         if words[0] == "measure":  # all three groups, or none
             groups = []
             for group in _GROUPS:

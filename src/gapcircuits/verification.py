@@ -41,7 +41,7 @@ from .builders import (
     PROBLEM_OV,
     MODE_QRAM,
 )
-from .ir import _CHARGED, VOCABULARY, BitString, mcx_toffoli_cost
+from .ir import _CHARGED, VOCABULARY, BitString, Gate, mcx_toffoli_cost
 from .simulator import (
     BRANCH_CAP_DEFAULT,
     SimOutcome,
@@ -147,7 +147,10 @@ _SMALL_CONTROL_NOTE = (
 def tally_gates(circuit) -> dict[str, dict[str, int]]:
     """Per-step primitive counts with multi-controlled flips expanded.
 
-    Rows and amounts come from each gate's `charge()`.  The CCX row counts
+    Keys and amounts come from each gate's `charge()`, and each row holds
+    its keys in gate-table order, as `step_gate_bounds` writes them: H, X,
+    Z, CX, CCX, QRAM.  A kind that a step never charges has no key, and a
+    step whose gates all charge 0 keeps an empty row.  The CCX key counts
     Toffoli-equivalent primitives: literal Toffolis plus the expansion cost
     popcount(mask) * mcx_toffoli_cost(#controls) of each bitmask flip (a
     single-control expansion is really a CX but is charged here,
@@ -156,73 +159,45 @@ def tally_gates(circuit) -> dict[str, dict[str, int]]:
     return _tally(circuit)[0]
 
 
-# A step span of fewer gates is charged gate by gate: below this length,
-# counting the span by class costs more than it saves.
-_MIN_RUN_BY_CLASS = 16
-
-
 def _tally(circuit) -> tuple[dict[str, dict[str, int]], bool]:
     """tally_gates, and whether any charged flip expands at most 3 controls.
 
-    The gates of a step span, if they are not few, are counted by class:
-    a class that keeps `_Gate.charge` charges all its gates alike, so one
-    call stands for the span's count, and only the classes of `_CHARGED`
-    are charged gate by gate.  A row's keys keep the order of their first
-    nonzero charge, as a gate-by-gate tally gives them.
+    The spans of each step label are joined and counted by class in
+    gate-table order (`ir.Gate`), so each row's keys follow that order:
+    H, X, Z, CX, CCX, QRAM.  A class that keeps `_Gate.charge` charges 1
+    under its KEYWORD for every gate, so it adds its count; only the
+    classes of `_CHARGED` are charged gate by gate.
     """
     gates = circuit.gates
-    if not VOCABULARY.issuperset(map(type, gates)):
+    classes = list(map(type, gates))
+    if not VOCABULARY.issuperset(classes):
         gate = next(g for g in gates if type(g) not in VOCABULARY)
         raise InstanceError(f"unknown gate {gate!r}")
+    steps: dict[str, tuple[list, list]] = {}  # label -> its gates and their classes
+    for step, start, stop in circuit.step_runs():
+        if step in steps:
+            steps[step][0].extend(gates[start:stop])
+            steps[step][1].extend(classes[start:stop])
+        else:
+            steps[step] = gates[start:stop], classes[start:stop]
     per_step: dict[str, dict[str, int]] = {}
     small_control = False
-    for step, start, stop in circuit.step_runs():
-        run_gates = gates[start:stop]
-        row = per_step.setdefault(step, {})
-        if len(run_gates) < _MIN_RUN_BY_CLASS:
-            for gate in run_gates:
-                kind, amount, controls = gate.charge()
-                if amount:
-                    row[kind] = row.get(kind, 0) + amount
-                    small_control |= 0 < controls <= 3
-            continue
-        run_types = list(map(type, run_gates))
-        first: dict[str, int] = {}  # kind -> run position of its first nonzero charge
-        total: dict[str, int] = {}
-        for cls in dict.fromkeys(run_types):
+    table = Gate.__args__  # the gate classes in gate-table order
+    for step, (span, types) in steps.items():
+        present = set(types)
+        row = per_step[step] = {}
+        for cls in table:
+            if cls not in present:
+                continue
             if cls in _CHARGED:
-                ordinal: dict[str, int] = {}  # kind -> which of cls's gates first charges it
-                own = compress(run_gates, map(is_, run_types, repeat(cls)))
-                for j, gate in enumerate(own):
+                for gate in compress(span, map(is_, types, repeat(cls))):
                     kind, amount, controls = gate.charge()
                     if amount:
-                        if kind not in ordinal:
-                            ordinal[kind] = j
-                        total[kind] = total.get(kind, 0) + amount
+                        row[kind] = row.get(kind, 0) + amount
                         small_control |= 0 < controls <= 3
-                for kind, j in ordinal.items():
-                    position = _nth(run_types, cls, j)
-                    if kind not in first or position < first[kind]:
-                        first[kind] = position
             else:
-                position = run_types.index(cls)
-                kind, amount, controls = run_gates[position].charge()
-                if amount:
-                    total[kind] = total.get(kind, 0) + amount * run_types.count(cls)
-                    small_control |= 0 < controls <= 3
-                    if kind not in first or position < first[kind]:
-                        first[kind] = position
-        for kind in sorted(first, key=first.__getitem__):
-            row[kind] = row.get(kind, 0) + total[kind]
+                row[cls.KEYWORD] = row.get(cls.KEYWORD, 0) + types.count(cls)
     return per_step, small_control
-
-
-def _nth(types: list, cls: type, j: int) -> int:
-    """Position of the j-th (from 0) entry of `types` that is `cls`."""
-    position = -1
-    for _ in range(j + 1):
-        position = types.index(cls, position + 1)
-    return position
 
 
 def step_gate_bounds(problem: str, mode: str, n: int, r: int, d: int) -> dict[str, dict[str, int]]:

@@ -8,7 +8,8 @@ path-sum lowering folds into runs.
 Hadamard layer, reading the IR gate fields directly, so it shares no
 lowering with either simulation backend.
 `step_labels` expands a circuit's step spans to one label per gate, and
-`reference_tally` charges the gates to the accountant one at a time.
+`reference_tally` charges the gates to the accountant one at a time, from
+their fields and the README's costs.
 `reference_oracle` counts ov, 3sum and nwt solutions with the literal pair
 and triple loops.
 `reference_text` writes circuit text one gate line at a time.
@@ -169,19 +170,40 @@ def step_labels(circuit):
     return labels
 
 
+# The accountant's row key of each gate class, in gate-table order.
+_KINDS = {H: "H", X: "X", Z: "Z", CX: "CX", Toffoli: "CCX", MCBitmask: "CCX", QramLoad: "QRAM"}
+
+
+def _mcx_cost(k):
+    """The README's Toffoli-equivalent cost of one k-controlled X."""
+    return 1 if k <= 2 else 4 if k == 3 else 8 * (k - 3)
+
+
 def reference_tally(circuit):
-    """Per-step accountant rows and the small-control flag, one gate at a time."""
+    """Per-step accountant rows and the small-control flag, one gate at a time.
+
+    Each gate is charged from its fields with the README's costs, never
+    through `charge()`: 1 per gate, and for a bitmask flip on k controls
+    popcount(mask) * _mcx_cost(k), which sets the flag when it is nonzero
+    and k <= 3.  Each row's keys are then put in gate-table order.
+    """
     per_step = {}
     small_control = False
     for gate, step in zip(circuit.gates, step_labels(circuit)):
         if type(gate) not in VOCABULARY:
             raise InstanceError(f"unknown gate {gate!r}")
         row = per_step.setdefault(step, {})
-        kind, amount, controls = gate.charge()
+        amount = 1
+        if type(gate) is MCBitmask:
+            k = len(gate.controls)
+            amount = bin(gate.mask).count("1") * _mcx_cost(k)
+            small_control |= amount > 0 and k <= 3
         if amount:
+            kind = _KINDS[type(gate)]
             row[kind] = row.get(kind, 0) + amount
-            small_control |= 0 < controls <= 3
-    return per_step, small_control
+    order = list(dict.fromkeys(_KINDS.values()))
+    return ({step: {kind: row[kind] for kind in order if kind in row}
+             for step, row in per_step.items()}, small_control)
 
 
 def reference_oracle(instance):

@@ -166,6 +166,7 @@ def test_simulate_malformed_header_integer_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("old,new,line", [
     ("problem ov", "problem banana", 1), ("mode qram", "mode fast", 2),
+    ("mode qram", "mode explicit", 2), ("n 3", "n 4", 3),
     ("n 3", "n 7", 4), ("index_width 2", "index_width 9", 4), ("data_width 2", "data_width 0", 6),
 ])
 def test_simulate_refuses_a_header_that_no_build_writes(tmp_path, capsys, old, new, line):

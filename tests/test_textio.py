@@ -91,7 +91,9 @@ def test_bound_header_dash_means_none():
 
 @pytest.mark.parametrize("bad,fragment", [
     ("circuit zero", "expected integer"),
-    ("circuit 2\nregister a 1 1\n", "registers cover"),
+    # a register line is refused at its own line, the cover at the circuit line
+    ("circuit 2\nregister a 1 1\n", "line 2: register 'a' must start at offset 0, got 1"),
+    ("circuit 2\nregister a 0 1\n", "line 1: registers cover 1 qubits, header says 2"),
     ("circuit 1\nregister a 0 1\ngate 1 FROB 0\n", "unknown gate"),
     ("circuit 1\nregister a 0 1\ngate 1 X 0 0\n", "x takes one qubit"),
     ("circuit 2\nregister a 0 2\ngate 1 CX 0 0\n", "must differ"),
@@ -373,8 +375,15 @@ def test_small_text_is_a_fixed_point():
     ("gate 1 H 0", " gate 1 H 0", "line 10: expected a gate line, got ' gate 1 H 0'"),
     ("circuit 3\nregister a 0 2", "register a 0 2\ncircuit 3", "line 1: expected the circuit line"),
     ("\n", "\x85", "line 1: expected the circuit line"),
+    # each register line is checked as it is read, and refused at its own line
     ("register a 0 2\nregister b 2 1", "register b 2 1\nregister a 0 2",
-     "line 4: register offsets are not contiguous from 0"),
+     "line 2: register 'b' must start at offset 0, got 2"),
+    ("register b 2 1", "register b 3 1", "line 3: register 'b' must start at offset 2, got 3"),
+    ("register b 2 1", "register b 2 0", "line 3: register 'b' must have positive width, got 0"),
+    ("register b 2 1", "register a 2 1", "line 3: duplicate register name 'a'"),
+    ("register b 2 1", "register b\t 2 1",
+     "line 3: register name must be non-empty and without whitespace: 'b\\t'"),
+    ("circuit 3", "circuit 4", "line 1: registers cover 3 qubits, header says 4"),
     ("measure z 2\nmeasure x 0 1", "measure x 0 1\nmeasure z 2",
      "line 4: expected the measure z line"),
     ("measure none\n", "", "line 6: expected the measure none line"),
@@ -419,6 +428,10 @@ def test_crlf_line_ends_are_refused(read, text, message):
     ("mode qram\n", "mode fast\n", "line 2: no build writes 'mode fast' with this header and "
      "body"),
     ("n 3\n", "n 0\n", "line 3: no build writes 'n 0' with this header and body"),
+    # the mode must fit the body's tables, and n the X gates that load n-1 into nmax
+    ("mode qram\n", "mode explicit\n", "line 2: no build writes 'mode explicit' with this "
+     "header and body"),
+    ("n 3\n", "n 4\n", "line 3: no build writes 'n 4' with this header and body"),
     ("n 3\n", "n 7\n", "line 4: no build writes 'index_width 2' with this header and body"),
     ("index_width 2\n", "index_width 9\n", "line 4: no build writes 'index_width 9' with this "
      "header and body"),

@@ -19,10 +19,10 @@ from gapcircuits.builders import (
 )
 from gapcircuits.instancefile import generate, generate_nwt, generate_ov, generate_threesum
 from gapcircuits.cli import SWEEP_CELLS
-from gapcircuits.ir import CX, BitString, MCBitmask, Toffoli, X, Z, new_circuit
+from gapcircuits.dataload import DataTable
+from gapcircuits.ir import CX, BitString, H, MCBitmask, QramLoad, Toffoli, X, Z, new_circuit
 from gapcircuits.simulator import SimOutcome, simulate_pathsum
 from gapcircuits.verification import (
-    _MIN_RUN_BY_CLASS,
     _tally,
     dense_agrees,
     gate_accountant,
@@ -198,7 +198,7 @@ def _tallies_like_reference(circuit):
     expected, small_control = reference_tally(circuit)
     assert flag == small_control
     assert tally_gates(circuit) == per_step == expected
-    # dict equality ignores order; the report's rows must keep it
+    # dict equality ignores order; the reference's rows follow the gate table
     assert [(step, list(row.items())) for step, row in per_step.items()] == \
         [(step, list(row.items())) for step, row in expected.items()]
     return per_step
@@ -210,7 +210,7 @@ def test_tally_matches_reference(data):
     n_qubits, h = data.draw(st.integers(4, 7)), data.draw(st.integers(0, 3))
     circuit = random_circuit(data, n_qubits, h)
     circuit.add(MCBitmask((0,), 0, (1, 2), 3))  # charges 0
-    _tallies_like_reference(circuit)  # one step label: a long run is counted by class
+    _tallies_like_reference(circuit)  # every gate in one step span
     # equal labels need not be one object, as when a circuit is read from text
     circuit = random_circuit(data, n_qubits, h, steps=step_label_lists(["s1", "s2", "s3"]))
     circuit.begin_step("zero")
@@ -226,24 +226,33 @@ def test_explicit_tally_matches_reference(problem, params):
     _tallies_like_reference(build_circuit(instance, MODE_EXPLICIT).circuit)
 
 
-@pytest.mark.parametrize("pad", [0, _MIN_RUN_BY_CLASS])
-def test_tally_keeps_first_charge_order(pad):
-    # a zero-mask flip charges nothing, so X is the row's first key, whether
-    # the run is charged gate by gate or, padded, counted by class; a step
-    # label written again may be an equal str held by another object
+@pytest.mark.parametrize("pad", [0, 16])
+def test_tally_rows_follow_the_gate_table(pad):
+    # each row's keys follow the gate table, H X Z CX CCX QRAM, not the
+    # order the gates come in, both in spans of 6 and 3 gates and, padded,
+    # of 16 or more: a zero-mask flip before an X charges nothing, a Toffoli
+    # and a flip both charge CCX, and a step label written again, as an
+    # equal str held by another object, adds to its row
     label = "s1"
     again = label[:1] + label[1:]
     assert again == label and again is not label
     circ = new_circuit([("q", 6)])
+    circ.add_table(DataTable("t", 1, 1, ((1, 1),)))
+    circ.begin_step("h")
+    circ.add(H(0))
     circ.begin_step(label)
-    circ.extend([MCBitmask((0, 1), 0, (2,), 5), X(3), MCBitmask((0, 1), 1, (2,), 5),
-                 Toffoli(0, 1, 4), *[X(3)] * pad])
+    circ.extend([QramLoad((0,), (4,), "t"), MCBitmask((0, 1), 0, (2,), 5), X(3),
+                 MCBitmask((0, 1), 1, (2,), 5), Toffoli(0, 1, 4), CX(1, 2), *[X(3)] * pad])
     circ.begin_step("t1")
     circ.add(Z(0))
     circ.begin_step(again)
-    circ.extend([CX(0, 3), MCBitmask((0, 1, 2), 1, (3,), 5), X(3), *[X(3)] * pad])
+    circ.extend([Z(1), MCBitmask((0, 1, 2), 1, (3,), 5), X(3), *[X(3)] * pad])
     per_step = _tallies_like_reference(circ)
-    assert per_step == {"s1": {"X": 2 + 2 * pad, "CCX": 6, "CX": 1}, "t1": {"Z": 1}}
+    assert [(step, list(row.items())) for step, row in per_step.items()] == [
+        ("h", [("H", 1)]),
+        ("s1", [("X", 2 + 2 * pad), ("Z", 1), ("CX", 1), ("CCX", 6), ("QRAM", 1)]),
+        ("t1", [("Z", 1)]),
+    ]
 
 
 def test_tally_refuses_foreign_gates():
