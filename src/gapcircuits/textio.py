@@ -33,7 +33,8 @@ it only in maskbits.
 
 A built circuit puts one `<key> <value>` line per row of `_HEADER` in front
 of the same body; the reader refuses a header that no build writes with
-that body (`builders.built_fault`).
+that body (`builders.built_fault`): its header fields, its registers and
+its step spans.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def _parse(text: str, built: bool) -> Circuit | BuiltCircuit:
     # from `numbered` itself.
     directives = chain(((lineno, raw.split(" ")) for lineno, raw in numbered
                         if raw and raw[0] != "#"), repeat((len(lines), [""])))
-    header, line_of = {}, {}  # field -> value; field, or "circuit" -> its line number
+    # field -> value; field, "circuit", "register <name>" or "span <k>" -> its line number
+    header, line_of = {}, {}
     lineno, words = next(directives)
     try:
         for key, name, parse in _HEADER if built else ():
@@ -134,6 +136,7 @@ def _parse(text: str, built: bool) -> Circuit | BuiltCircuit:
             if offset != covered:
                 raise CircuitError(f"register {name!r} must start at offset {covered}, got {offset}")
             layout[name] = width
+            line_of[f"register {name}"] = lineno
             covered += width
         if covered != n_qubits:
             lineno = line_of["circuit"]
@@ -191,6 +194,8 @@ def _parse(text: str, built: bool) -> Circuit | BuiltCircuit:
                 if label is step:  # a gate of the current step joins its span
                     append_gate(gate)
                 else:
+                    if label != step:  # the gate opens the next span
+                        line_of[f"span {len(circuit.step_starts) + 1}"] = lineno
                     circuit.add_again(gate, label)
                     step = label
                 continue
@@ -205,6 +210,7 @@ def _parse(text: str, built: bool) -> Circuit | BuiltCircuit:
             if tokens[1] != step:
                 step = tokens[1]
                 circuit.begin_step(step)
+                line_of[f"span {len(circuit.step_starts) + 1}"] = lineno
             gate = cls.from_tokens(tokens[3:])
             circuit.add(gate)
             if not gate.LEADING:
@@ -213,7 +219,9 @@ def _parse(text: str, built: bool) -> Circuit | BuiltCircuit:
                     wirings[wiring] = (gate, step)
         result = BuiltCircuit(circuit, **header) if built else circuit
         if built and (fault := built_fault(result)) is not None:
-            lineno = line_of[fault]
+            # a missing step after the last span falls on the last line, skipped lines aside
+            lineno = line_of.get(fault) or next(
+                i for i in range(len(lines), 0, -1) if lines[i - 1][:1] not in ("", "#"))
             raise CircuitError(f"no build writes {lines[lineno - 1]!r} with this header and body")
         return result
     except CircuitError as err:

@@ -36,12 +36,10 @@ from .builders import (
     family_lookup,
     hadamard_count,
     qubit_formula,
-    PROBLEM_3SUM,
-    PROBLEM_NWT,
-    PROBLEM_OV,
+    step_gate_bounds,
     MODE_QRAM,
 )
-from .ir import _CHARGED, VOCABULARY, BitString, Gate, mcx_toffoli_cost
+from .ir import _CHARGED, VOCABULARY, BitString, Gate
 from .simulator import (
     BRANCH_CAP_DEFAULT,
     SimOutcome,
@@ -198,52 +196,6 @@ def _tally(circuit) -> tuple[dict[str, dict[str, int]], bool]:
             else:
                 row[cls.KEYWORD] = row.get(cls.KEYWORD, 0) + types.count(cls)
     return per_step, small_control
-
-
-def step_gate_bounds(problem: str, mode: str, n: int, r: int, d: int) -> dict[str, dict[str, int]]:
-    """Per-step budgets the builders must stay within.
-
-    Rows driven by multi-controlled decompositions use mcx_toffoli_cost in
-    place of the asymptotic 8(k-3) factor, which agrees with it for k >= 4
-    and substitutes the documented small-control costs below that.
-    """
-    cost = mcx_toffoli_cost
-    qram = mode == MODE_QRAM
-    if problem == PROBLEM_OV:
-        load = {"QRAM": 2} if qram else {"X": 4 * n * r, "CCX": 2 * n * d * cost(r)}
-        return {
-            "1": {"H": 2 * r, "X": r},
-            "2": {"X": 4 * r + 6, "CX": 8 * r + 2, "CCX": 4 * r},
-            "3": load,
-            "4": {"CCX": d},
-            "5": {"X": 2 * d, "CCX": cost(d)},
-            "6": {"Z": 1},
-        }
-    if problem == PROBLEM_3SUM:
-        load = {"QRAM": 3} if qram else {"X": 6 * n * r, "CCX": 3 * n * d * cost(r)}
-        return {
-            "1": {"H": 3 * r, "X": r},
-            "2": {"X": 6 * r + 9, "CX": 12 * r + 3, "CCX": 6 * r},
-            "3": load,
-            "4": {"CX": 4 * d + 1, "CCX": 2 * d},
-            "5": {"CX": 4 * d + 5, "CCX": 2 * d + 2},
-            "6": {"X": 2 * d + 4, "CCX": cost(d + 2)},
-            "7": {"Z": 1},
-        }
-    if problem == PROBLEM_NWT:
-        pairs = 1 << (2 * r)
-        load = {"QRAM": 3} if qram else {"X": 12 * r * pairs, "CCX": 3 * pairs * d * cost(2 * r)}
-        return {
-            "1": {"H": 3 * r, "X": r},
-            "2": {"X": 6 * r + 9, "CX": 12 * r + 3, "CCX": 6 * r},
-            "3": load,
-            "4": {"X": 6 * d, "CCX": 3 * cost(d)},
-            "5": {"CX": 8 * d + 6, "CCX": 4 * d + 2},
-            "6": {"X": 3 * d + 8, "CX": 4 * d + 9, "CCX": 2 * d + 4},
-            "7": {"X": 8, "CCX": 10},
-            "8": {"Z": 1},
-        }
-    raise InstanceError(f"unknown problem {problem!r}")
 
 
 @dataclass(frozen=True)

@@ -168,14 +168,18 @@ def test_simulate_malformed_header_integer_exits_2(tmp_path, capsys):
     ("problem ov", "problem banana", 1), ("mode qram", "mode fast", 2),
     ("mode qram", "mode explicit", 2), ("n 3", "n 4", 3),
     ("n 3", "n 7", 4), ("index_width 2", "index_width 9", 4), ("data_width 2", "data_width 0", 6),
+    # a relabelled step, and a renamed register
+    ("gate 2", "gate 9", 34), ("register nmax", "register foo", 11),
 ])
 def test_simulate_refuses_a_header_that_no_build_writes(tmp_path, capsys, old, new, line):
     inst, circ = tmp_path / "inst.json", tmp_path / "circ.txt"
     main(["gen", "ov", "-n", "3", "-d", "2", "--seed", "0", "--out", str(inst)])
     main(["build", str(inst), "--out", str(circ)])
-    text = circ.read_text()
-    assert f"\n{old}\n" in f"\n{text}"
-    circ.write_text(f"\n{text}".replace(f"\n{old}\n", f"\n{new}\n", 1)[1:])
+    lines = circ.read_text().split("\n")
+    # every line that is `old`, or starts with `old` and a space, starts with `new` instead
+    edited = [new + raw[len(old):] if f"{raw} ".startswith(f"{old} ") else raw for raw in lines]
+    assert edited != lines
+    circ.write_text("\n".join(edited))
     capsys.readouterr()
     assert main(["simulate", str(circ)]) == 2
     captured = capsys.readouterr()

@@ -444,11 +444,23 @@ def test_crlf_line_ends_are_refused(read, text, message):
      "header and body"),
     # the body must have the closed forms' qubits, Hadamards and X-measured qubits
     ("gate 1 H 3\n", "", "line 8: no build writes 'circuit 16' with this header and body"),
+    # and the family's registers and steps, one span per step
+    ("register nmax 4 2\n", "register foo 4 2\n", "line 11: no build writes "
+     "'register foo 4 2' with this header and body"),
+    ("register i 0 2\nregister j 2 2\n", "register i 0 1\nregister j 1 3\n", "line 9: no "
+     "build writes 'register i 0 1' with this header and body"),
+    ("\ngate 2 ", "\ngate 9 ", "line 34: no build writes 'gate 9 X 15' with this header and "
+     "body"),
+    ("gate 6 Z 14\n", "gate 5 Z 14\n", "line 83: no build writes 'gate 5 Z 14' with this "
+     "header and body"),
+    # a step that comes back, its span opened by a line read before
+    ("gate 3 QRAM u 2 0 1 2 8 9\n", "gate 3 QRAM u 2 0 1 2 8 9\ngate 2 X 0\n", "line 75: no "
+     "build writes 'gate 2 X 0' with this header and body"),
 ])
 def test_built_header_must_fit_its_body(old, new, message):
     assert old in _OV_TEXT
     with pytest.raises(CircuitError) as err:
-        built_from_text(_OV_TEXT.replace(old, new, 1))
+        built_from_text(_OV_TEXT.replace(old, new))  # every occurrence
     assert str(err.value) == message
 
 

@@ -16,6 +16,8 @@ from gapcircuits.builders import (
     OVInstance,
     ThreeSumInstance,
     build_circuit,
+    denom_exponent,
+    qubit_formula,
 )
 from gapcircuits.instancefile import generate, generate_nwt, generate_ov, generate_threesum
 from gapcircuits.cli import SWEEP_CELLS
@@ -274,6 +276,56 @@ def test_step_bounds_table_spot_checks():
 
     nwt = step_gate_bounds("nwt", MODE_EXPLICIT, n=4, r=2, d=3)
     assert nwt["3"] == {"X": 12 * 2 * 16, "CCX": 3 * 16 * 3 * 8}  # 4^r = 16, cost(2r) = 8
+
+
+# Every budget row of each family at two shapes, as literals: the steps with
+# step 3 in its qram and its explicit form, the only row the modes differ in.
+_BUDGET_TABLES = [
+    ("ov", 4, 2, 3, {"QRAM": 2}, {"X": 32, "CCX": 24},
+     {"1": {"H": 4, "X": 2}, "2": {"X": 14, "CX": 18, "CCX": 8}, "3": None,
+      "4": {"CCX": 3}, "5": {"X": 6, "CCX": 4}, "6": {"Z": 1}}),
+    ("ov", 5, 3, 1, {"QRAM": 2}, {"X": 60, "CCX": 40},
+     {"1": {"H": 6, "X": 3}, "2": {"X": 18, "CX": 26, "CCX": 12}, "3": None,
+      "4": {"CCX": 1}, "5": {"X": 2, "CCX": 1}, "6": {"Z": 1}}),
+    ("3sum", 3, 2, 4, {"QRAM": 3}, {"X": 36, "CCX": 36},
+     {"1": {"H": 6, "X": 2}, "2": {"X": 21, "CX": 27, "CCX": 12}, "3": None,
+      "4": {"CX": 17, "CCX": 8}, "5": {"CX": 21, "CCX": 10}, "6": {"X": 12, "CCX": 24},
+      "7": {"Z": 1}}),
+    ("3sum", 6, 3, 8, {"QRAM": 3}, {"X": 108, "CCX": 576},
+     {"1": {"H": 9, "X": 3}, "2": {"X": 27, "CX": 39, "CCX": 18}, "3": None,
+      "4": {"CX": 33, "CCX": 16}, "5": {"CX": 37, "CCX": 18}, "6": {"X": 20, "CCX": 56},
+      "7": {"Z": 1}}),
+    ("nwt", 4, 2, 3, {"QRAM": 3}, {"X": 384, "CCX": 1152},
+     {"1": {"H": 6, "X": 2}, "2": {"X": 21, "CX": 27, "CCX": 12}, "3": None,
+      "4": {"X": 18, "CCX": 12}, "5": {"CX": 30, "CCX": 14},
+      "6": {"X": 17, "CX": 21, "CCX": 10}, "7": {"X": 8, "CCX": 10}, "8": {"Z": 1}}),
+    ("nwt", 6, 3, 4, {"QRAM": 3}, {"X": 2304, "CCX": 18432},
+     {"1": {"H": 9, "X": 3}, "2": {"X": 27, "CX": 39, "CCX": 18}, "3": None,
+      "4": {"X": 24, "CCX": 24}, "5": {"CX": 38, "CCX": 18},
+      "6": {"X": 20, "CX": 25, "CCX": 12}, "7": {"X": 8, "CCX": 10}, "8": {"Z": 1}}),
+]
+
+
+@pytest.mark.parametrize("mode", [MODE_QRAM, MODE_EXPLICIT])
+@pytest.mark.parametrize("problem,n,r,d,qram,explicit,rows", _BUDGET_TABLES,
+                         ids=[f"{row[0]}-n{row[1]}-r{row[2]}-d{row[3]}" for row in _BUDGET_TABLES])
+def test_step_bounds_tables(problem, n, r, d, qram, explicit, rows, mode):
+    expected = {**rows, "3": qram if mode == MODE_QRAM else explicit}
+    bounds = step_gate_bounds(problem, mode, n, r, d)
+    # as item lists, so the steps and each row's keys must come in this order
+    assert [(step, list(row.items())) for step, row in bounds.items()] == [
+        (step, list(row.items())) for step, row in expected.items()]
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda problem: denom_exponent(problem, 2, 2),
+    lambda problem: qubit_formula(problem, 2, 2),
+    lambda problem: step_gate_bounds(problem, MODE_QRAM, 3, 2, 2),
+    lambda problem: predicted_pacc(problem, 2, 2, 1),
+], ids=["denom_exponent", "qubit_formula", "step_gate_bounds", "predicted_pacc"])
+def test_closed_forms_refuse_an_unknown_problem(closed_form):
+    with pytest.raises(InstanceError, match="unknown problem 'banana'"):
+        closed_form("banana")
 
 
 def test_report_serializes():
